@@ -5,13 +5,17 @@ as an upper bound that normalizes every model metric.  Categorical
 attributes are one-hot encoded; splits minimize Gini impurity over a
 random feature subset; all randomness flows from an integer seed stream so
 runs are bit-reproducible, serial or parallel.
+
+Every attribute has exactly one active one-hot column per row, so a row is
+stored as the index of its active column per attribute.  A node tallies
+the classes of all its rows, weighted by bootstrap multiplicity, for every
+feature at once with one ``np.bincount``; a feature's right side is its
+tally and its left side the node total minus it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,8 +24,6 @@ from .data import Dataset, SocioProfile, SurveyCase
 from .errors import SchemaMismatch
 from .gateway import Prediction
 from .metrics import MetricReport, compute_report
-
-SERIAL_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -32,27 +34,33 @@ class ForestParams:
     max_depth: Optional[int] = None
 
 
-@dataclass
-class _Node:
-    # leaf: feature == -1 and counts holds the class tally
-    feature: int = -1
-    left: int = -1
-    right: int = -1
-    counts: Optional[np.ndarray] = None
+def _node_dtype(n_classes: int) -> np.dtype:
+    return np.dtype([("feature", np.intp), ("left", np.intp),
+                     ("right", np.intp), ("counts", np.int64, (n_classes,))])
 
 
 @dataclass
 class _Tree:
-    nodes: list[_Node]
+    """Nodes in depth-first pre-order, one record each: the split column
+    (-1 at a leaf), the left and right child (-1 at a leaf) and the class
+    tally of the node's bootstrap rows."""
 
-    def predict_one(self, x: np.ndarray) -> int:
-        i = 0
+    nodes: np.ndarray
+
+    def evaluate(self, X: np.ndarray) -> np.ndarray:
+        """Leaf class of every row of the one-hot matrix ``X``; a tie goes to
+        the lowest option index."""
+        feature, left, right = (self.nodes[k] for k in ("feature", "left", "right"))
+        rows = np.arange(len(X))
+        at = np.zeros(len(X), dtype=np.intp)
         while True:
-            node = self.nodes[i]
-            if node.feature < 0:
-                counts = node.counts
-                return int(np.flatnonzero(counts == counts.max())[0])
-            i = node.left if x[node.feature] == 0 else node.right
+            f = feature[at]
+            inner = f >= 0
+            if not inner.any():
+                return np.argmax(self.nodes["counts"][at], axis=1)
+            # a row already at its leaf reads column -1 and stays put
+            step = np.where(X[rows, f] == 1, right[at], left[at])
+            at = np.where(inner, step, at)
 
 
 @dataclass
@@ -67,114 +75,120 @@ class ForestModel:
     degenerate: bool = False  # single answer class in the training data
 
 
-def encode_profiles(dataset: Dataset) -> tuple[np.ndarray, tuple[str, ...]]:
-    """One-hot encode every profile; column order follows the schema."""
-    names: list[str] = []
-    blocks = []
-    for attr in dataset.schema.attributes:
-        index = {c: i for i, c in enumerate(attr.categories)}
-        col = np.array(
-            [index[p.values[attr.name]] for p in dataset.profiles], dtype=np.int64
-        )
-        block = np.zeros((len(dataset.profiles), len(attr.categories)), dtype=np.uint8)
-        block[np.arange(len(col)), col] = 1
-        blocks.append(block)
-        names.extend(f"{attr.name}={c}" for c in attr.categories)
-    return np.hstack(blocks), tuple(names)
-
-
-def _encode_one(model: ForestModel, profile: SocioProfile) -> np.ndarray:
-    x = np.zeros(len(model.feature_names), dtype=np.uint8)
+def _active_columns(
+    attribute_order: Sequence[str],
+    category_maps: dict[str, dict[str, int]],
+    profiles: Sequence[SocioProfile],
+) -> np.ndarray:
+    """(profiles x attributes) index of each row's active one-hot column."""
+    active = np.empty((len(profiles), len(attribute_order)), dtype=np.intp)
     offset = 0
-    for attr in model.attribute_order:
-        cats = model.category_maps[attr]
-        if attr not in profile.values or profile.values[attr] not in cats:
-            raise SchemaMismatch(
-                f"profile {profile.respondent_id!r} does not match the "
-                f"training schema at attribute {attr!r}"
-            )
-        x[offset + cats[profile.values[attr]]] = 1
+    for j, attr in enumerate(attribute_order):
+        cats = category_maps[attr]
+        for i, profile in enumerate(profiles):
+            value = profile.values.get(attr)
+            if value not in cats:
+                raise SchemaMismatch(
+                    f"profile {profile.respondent_id!r} does not match the "
+                    f"training schema at attribute {attr!r}"
+                )
+            active[i, j] = offset + cats[value]
         offset += len(cats)
-    return x
+    return active
 
 
-def _gini_gain(y: np.ndarray, mask: np.ndarray, n_classes: int) -> float:
-    n = len(y)
-    left = y[~mask]
-    right = y[mask]
-    if len(left) == 0 or len(right) == 0:
-        return -1.0
-
-    def gini(part):
-        counts = np.bincount(part, minlength=n_classes)
-        p = counts / len(part)
-        return 1.0 - float(np.sum(p * p))
-
-    parent = gini(y)
-    weighted = (len(left) / n) * gini(left) + (len(right) / n) * gini(right)
-    return parent - weighted
+def _gini(counts: Sequence[float], n: float) -> float:
+    """1 - sum((c/n)^2), summed in the order ``np.sum`` uses, so that gains
+    and hence split choices match a per-feature numpy computation bit for
+    bit: fewer than 8 terms are added left to right, more go to np.sum."""
+    squares = [(c / n) * (c / n) for c in counts]
+    if len(squares) < 8:
+        total = 0.0
+        for s in squares:
+            total += s
+    else:
+        total = float(np.sum(squares))
+    return 1.0 - total
 
 
 def _grow_tree(
-    X: np.ndarray,
+    active: np.ndarray,
+    codes: np.ndarray,
+    attribute_of: np.ndarray,
     y: np.ndarray,
     n_classes: int,
     params: ForestParams,
     rng: np.random.Generator,
 ) -> _Tree:
-    n, d = X.shape
-    k = params.features_per_split or int(np.ceil(np.sqrt(d)))
-    nodes: list[_Node] = []
+    """Grow one tree on a bootstrap of the training rows.
 
-    def leaf(idx: np.ndarray) -> int:
-        nodes.append(_Node(counts=np.bincount(y[idx], minlength=n_classes)))
+    ``active`` holds each row's active one-hot column per attribute,
+    ``codes`` is ``active * n_classes + y`` and ``attribute_of`` maps a
+    column to its attribute.  Rows are kept once, weighted by how often the
+    bootstrap drew them.
+    """
+    n, n_attrs = active.shape
+    d, C = len(attribute_of), n_classes
+    k = params.features_per_split or int(np.ceil(np.sqrt(d)))
+    nodes: list = []  # (feature, left, right, counts) per node
+
+    def leaf(counts: list) -> int:
+        nodes.append((-1, -1, -1, counts))
         return len(nodes) - 1
 
-    def build(idx: np.ndarray, depth: int) -> int:
-        labels = y[idx]
+    def build(rows: np.ndarray, w: np.ndarray, counts: list, total: float,
+              depth: int) -> int:
         if (
-            len(idx) < 2 * params.min_samples_leaf
-            or len(np.unique(labels)) == 1
+            total < 2 * params.min_samples_leaf
+            or sum(1 for c in counts if c) == 1
             or (params.max_depth is not None and depth >= params.max_depth)
         ):
-            return leaf(idx)
+            return leaf(counts)
         # random candidate subset first; fall back to the remaining features
         # so a pure split is never missed when one exists
         order = rng.permutation(d)
-        candidates = list(order[:k]) + list(order[k:])
+        tally = np.bincount(codes[rows].ravel(), weights=np.repeat(w, n_attrs),
+                            minlength=d * C).reshape(d, C).tolist()
+        parent = _gini(counts, total)
         best_feature = -1
         best_gain = 0.0
-        tried = 0
-        for f in candidates:
-            tried += 1
-            mask = X[idx, f] == 1
-            gain = _gini_gain(labels, mask, n_classes)
-            if gain > best_gain + 1e-12:
-                best_gain = gain
-                best_feature = f
+        for tried, f in enumerate(order.tolist(), 1):
+            right = tally[f]
+            n_right = sum(right)
+            n_left = total - n_right
+            if n_left and n_right:
+                left = [c - r for c, r in zip(counts, right)]
+                gain = parent - ((n_left / total) * _gini(left, n_left)
+                                 + (n_right / total) * _gini(right, n_right))
+                if gain > best_gain + 1e-12:
+                    best_gain = gain
+                    best_feature = f
             if tried >= k and best_feature >= 0:
                 break
         if best_feature < 0:
-            return leaf(idx)
-        mask = X[idx, best_feature] == 1
-        left_idx = idx[~mask]
-        right_idx = idx[mask]
-        if (
-            len(left_idx) < params.min_samples_leaf
-            or len(right_idx) < params.min_samples_leaf
-        ):
-            return leaf(idx)
+            return leaf(counts)
+        right = tally[best_feature]
+        n_right = sum(right)
+        n_left = total - n_right
+        if n_left < params.min_samples_leaf or n_right < params.min_samples_leaf:
+            return leaf(counts)
+        goes_right = active[rows, attribute_of[best_feature]] == best_feature
         node_pos = len(nodes)
-        nodes.append(_Node(feature=int(best_feature)))
-        left = build(left_idx, depth + 1)
-        right = build(right_idx, depth + 1)
-        nodes[node_pos].left = left
-        nodes[node_pos].right = right
+        nodes.append(None)
+        left_pos = build(rows[~goes_right], w[~goes_right],
+                         [c - r for c, r in zip(counts, right)], n_left,
+                         depth + 1)
+        right_pos = build(rows[goes_right], w[goes_right], right, n_right,
+                          depth + 1)
+        nodes[node_pos] = (best_feature, left_pos, right_pos, counts)
         return node_pos
 
-    bootstrap = rng.integers(0, n, n)
-    build(bootstrap, 0)
-    return _Tree(nodes=nodes)
+    weights = np.bincount(rng.integers(0, n, n), minlength=n)
+    rows = np.flatnonzero(weights)
+    w = weights[rows]
+    counts = np.bincount(y[rows], weights=w, minlength=C).tolist()
+    build(rows, w, counts, float(n), 0)
+    return _Tree(np.array(nodes, dtype=_node_dtype(C)))
 
 
 def fit_in_sample(
@@ -191,43 +205,50 @@ def fit_in_sample(
     answered = [p for p in dataset.profiles if p.respondent_id in case.answers]
     if len(answered) < 2:
         raise ValueError("need at least 2 answered respondents to fit")
-    sub = Dataset(
-        schema=dataset.schema, profiles=tuple(answered), cases=(case,)
-    )
-    X, names = encode_profiles(sub)
+    attributes = dataset.schema.attributes
+    category_maps = {
+        a.name: {c: i for i, c in enumerate(a.categories)} for a in attributes
+    }
+    active = _active_columns(dataset.schema.names, category_maps, answered)
     y = np.array(
         [case.answers[p.respondent_id] for p in answered], dtype=np.int64
     )
     n_classes = len(case.options)
-    degenerate = len(np.unique(y)) == 1
+    # column * n_classes + class: one bincount tallies every column's classes
+    codes = active * n_classes + y[:, None]
+    attribute_of = np.repeat(np.arange(len(attributes)),
+                             [len(a.categories) for a in attributes])
 
     trees = [
-        _grow_tree(X, y, n_classes, params,
+        _grow_tree(active, codes, attribute_of, y, n_classes, params,
                    np.random.default_rng((seed, tree_idx)))
         for tree_idx in range(params.n_trees)
     ]
     return ForestModel(
         trees=trees,
-        feature_names=names,
+        feature_names=tuple(f"{a.name}={c}" for a in attributes
+                            for c in a.categories),
         attribute_order=dataset.schema.names,
-        category_maps={
-            a.name: {c: i for i, c in enumerate(a.categories)}
-            for a in dataset.schema.attributes
-        },
+        category_maps=category_maps,
         n_classes=n_classes,
         params=params,
         seed=seed,
-        degenerate=degenerate,
+        degenerate=len(np.unique(y)) == 1,
     )
 
 
-def predict(model: ForestModel, profile: SocioProfile) -> int:
-    """Majority vote over trees; ties break to the lowest option index."""
-    x = _encode_one(model, profile)
-    votes = np.zeros(model.n_classes, dtype=np.int64)
+def predict(model: ForestModel, profiles: Sequence[SocioProfile]) -> list[int]:
+    """Majority vote over trees for every profile; ties break to the lowest
+    option index."""
+    active = _active_columns(model.attribute_order, model.category_maps,
+                             profiles)
+    rows = np.arange(len(profiles))
+    X = np.zeros((len(profiles), len(model.feature_names)), dtype=np.uint8)
+    X[rows[:, None], active] = 1
+    votes = np.zeros((len(profiles), model.n_classes), dtype=np.int64)
     for tree in model.trees:
-        votes[tree.predict_one(x)] += 1
-    return int(np.flatnonzero(votes == votes.max())[0])
+        votes[rows, tree.evaluate(X)] += 1
+    return np.argmax(votes, axis=1).tolist()
 
 
 def baseline_metrics(
@@ -239,79 +260,16 @@ def baseline_metrics(
     """Fit in-sample, predict every training row, and run the same metric
     battery applied to model predictions."""
     model = fit_in_sample(dataset, case, params, seed)
+    answered = [p for p in dataset.profiles if p.respondent_id in case.answers]
     predictions = [
         Prediction(
             respondent_id=p.respondent_id,
             question_id=case.question_id,
             backend="in_sample_forest",
             raw_text="",
-            parsed=predict(model, p),
+            parsed=parsed,
         )
-        for p in dataset.profiles
-        if p.respondent_id in case.answers
+        for p, parsed in zip(answered, predict(model, answered))
     ]
     report = compute_report(dataset, predictions, case, backend="in_sample_forest")
     return report, model
-
-
-def save_model(model: ForestModel, path: str | Path) -> None:
-    doc = {
-        "version": SERIAL_VERSION,
-        "feature_names": list(model.feature_names),
-        "attribute_order": list(model.attribute_order),
-        "category_maps": model.category_maps,
-        "n_classes": model.n_classes,
-        "seed": model.seed,
-        "degenerate": model.degenerate,
-        "params": {
-            "n_trees": model.params.n_trees,
-            "features_per_split": model.params.features_per_split,
-            "min_samples_leaf": model.params.min_samples_leaf,
-            "max_depth": model.params.max_depth,
-        },
-        "trees": [
-            [
-                {
-                    "f": n.feature,
-                    "l": n.left,
-                    "r": n.right,
-                    "c": None if n.counts is None else n.counts.tolist(),
-                }
-                for n in tree.nodes
-            ]
-            for tree in model.trees
-        ],
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> ForestModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("version") != SERIAL_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')!r}")
-    trees = [
-        _Tree(nodes=[
-            _Node(
-                feature=n["f"],
-                left=n["l"],
-                right=n["r"],
-                counts=None if n["c"] is None else np.array(n["c"], dtype=np.int64),
-            )
-            for n in tree
-        ])
-        for tree in doc["trees"]
-    ]
-    params = ForestParams(**doc["params"])
-    return ForestModel(
-        trees=trees,
-        feature_names=tuple(doc["feature_names"]),
-        attribute_order=tuple(doc["attribute_order"]),
-        category_maps={
-            a: {c: int(i) for c, i in m.items()}
-            for a, m in doc["category_maps"].items()
-        },
-        n_classes=doc["n_classes"],
-        params=params,
-        seed=doc["seed"],
-        degenerate=doc["degenerate"],
-    )

@@ -9,6 +9,7 @@ temperature), so a finished run can be re-scored without any network.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -87,6 +88,10 @@ class ExchangeCache:
 
     Concurrent appends are serialized by a lock; identical keys always map
     to identical values, so last-writer-wins is harmless.
+
+    A final line that does not decode is a write cut short: it is skipped
+    on load, its length is kept in ``torn_tail``, and it is cut off the file
+    before the next append.  A malformed line anywhere else raises.
     """
 
     def __init__(self, path: Optional[str | Path] = None):
@@ -95,12 +100,37 @@ class ExchangeCache:
         self._entries: dict[str, str] = {}
         self.hits = 0
         self.misses = 0
+        self.torn_tail = 0  # bytes of a torn final line skipped on load
+        # bytes of the file to keep before the next append, when its tail
+        # needs mending first
+        self._keep: Optional[int] = None
         if self.path and self.path.exists():
-            with self.path.open(encoding="utf-8") as fh:
+            with self.path.open("rb") as fh:
+                line = b""
                 for line in fh:
-                    if line.strip():
+                    if not line.strip():
+                        continue
+                    try:
                         rec = json.loads(line)
-                        self._entries[rec["key"]] = rec["raw_text"]
+                    except ValueError:
+                        if fh.read(1):
+                            raise
+                        self.torn_tail = len(line)
+                        break
+                    self._entries[rec["key"]] = rec["raw_text"]
+                if self.torn_tail or (line and not line.endswith(b"\n")):
+                    self._keep = fh.tell() - self.torn_tail
+
+    def _mend_tail(self) -> None:
+        """Cut a torn final line and end the last record with a newline, so
+        that the next record starts a line of its own."""
+        with self.path.open("r+b") as fh:
+            fh.truncate(self._keep)
+            if self._keep:
+                fh.seek(self._keep - 1)
+                if fh.read(1) != b"\n":
+                    fh.write(b"\n")
+        self._keep = None
 
     def get(self, key: str) -> Optional[str]:
         with self._lock:
@@ -124,6 +154,8 @@ class ExchangeCache:
                     "raw_text": raw_text,
                     "timestamp": time.time(),
                 }
+                if self._keep is not None:
+                    self._mend_tail()
                 with self.path.open("a", encoding="utf-8") as fh:
                     fh.write(json.dumps(rec) + "\n")
 
@@ -131,13 +163,31 @@ class ExchangeCache:
         return len(self._entries)
 
 
+@functools.lru_cache(maxsize=256)
+def _label_matcher(options: tuple[str, ...]
+                   ) -> tuple[re.Pattern, dict[str, tuple[int, ...]]]:
+    """A pattern for any label as a whole word, case-insensitively, and the
+    option indices of each lowercased label.  Longer labels are tried
+    first, so "Strongly agree" is one hit rather than two."""
+    labels = sorted(options, key=len, reverse=True)
+    pattern = re.compile(
+        r"(?<!\w)(?:" + "|".join(re.escape(label) for label in labels) + r")(?!\w)",
+        re.IGNORECASE,
+    )
+    indices: dict[str, tuple[int, ...]] = {}
+    for i, label in enumerate(options):
+        indices[label.lower()] = indices.get(label.lower(), ()) + (i,)
+    return pattern, indices
+
+
 def parse_response(raw_text: str, options: Sequence[str]) -> Optional[int]:
     """Map free-form model text to an option index, or None if ambiguous.
 
-    Cascade: exact label on the trimmed final line; else a unique
-    case-insensitive substring hit of exactly one label; else a unique
-    leading option number ("2.", "Option 2").  Two or more distinct label
-    hits at the same stage mean the reply is unparseable.
+    Cascade: exact label on the trimmed final line; else the labels the
+    text names as whole words, case-insensitively, where the longest label
+    wins where labels overlap, if they are all one label; else a unique
+    leading option number ("2.", "Option 2").  Two or more distinct labels
+    at the same stage mean the reply is unparseable.
     """
     if not options or len(set(options)) != len(options):
         raise ValueError("options must be non-empty and distinct")
@@ -148,10 +198,11 @@ def parse_response(raw_text: str, options: Sequence[str]) -> Optional[int]:
         if final == label:
             return i
 
-    lowered = raw_text.lower()
-    hits = [i for i, label in enumerate(options) if label.lower() in lowered]
+    pattern, indices = _label_matcher(tuple(options))
+    hits = {i for m in pattern.finditer(raw_text)
+            for i in indices.get(m.group().lower(), ())}
     if len(hits) == 1:
-        return hits[0]
+        return hits.pop()
     if len(hits) > 1:
         return UNPARSEABLE
 

@@ -280,7 +280,35 @@ def compute_report(
     backend: str = "",
     policy: str = POLICY_INCORRECT,
 ) -> MetricReport:
-    """Compute the full battery for one case's predictions."""
+    """Compute the full battery for one case's predictions.
+
+    With no parsed prediction there is no predicted distribution, so this
+    raises AllUnparseable; ``unparsed_report`` scores such a cell.
+    """
+    return _report(dataset, predictions, case, backend, policy, strict=True)
+
+
+def unparsed_report(
+    dataset: Dataset,
+    predictions: Sequence[Prediction],
+    case: SurveyCase,
+    backend: str = "",
+) -> MetricReport:
+    """The battery of a cell in which no prediction parsed, under
+    'incorrect': scored like such a group in ``group_stats``, every
+    prediction counts as wrong, JSS is 0 and every group is flagged."""
+    return _report(dataset, predictions, case, backend, POLICY_INCORRECT,
+                   strict=False)
+
+
+def _report(
+    dataset: Dataset,
+    predictions: Sequence[Prediction],
+    case: SurveyCase,
+    backend: str,
+    policy: str,
+    strict: bool,
+) -> MetricReport:
     if not predictions:
         raise EmptyPredictions("no predictions to report on")
     acc = accuracy(predictions, case, policy)
@@ -301,10 +329,13 @@ def compute_report(
     truth_dist = empirical_distribution(
         (case.answers[p.respondent_id] for p in scored), len(case.options)
     )
-    pred_dist = empirical_distribution(
-        (p.parsed for p in predictions), len(case.options)
-    )
-    overall_jss = jss(truth_dist, pred_dist)
+    if strict or n_unparseable < len(predictions):
+        pred_dist = empirical_distribution(
+            (p.parsed for p in predictions), len(case.options)
+        )
+        overall_jss = jss(truth_dist, pred_dist)
+    else:
+        overall_jss = 0.0
 
     weighted: dict[str, float] = {}
     pg_acc: dict[str, dict[str, Optional[float]]] = {}

@@ -22,7 +22,7 @@ from . import forest as forest_mod
 from . import metrics as metrics_mod
 from . import reporting
 from .data import Dataset, SurveyCase, load_dataset, partition_by
-from .errors import ConfigError
+from .errors import AllUnparseable, ConfigError
 from .gateway import (
     BackendConfig,
     ExchangeCache,
@@ -116,7 +116,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
                        or sorted(DEFAULT_POLITICAL)),
         forest_params=forest,
         forest_seed=int(forest_seed),
-        regressions=list(raw.get("regressions") or []),
+        regressions=[
+            # a scalar "all" is the one-element list
+            dict(e, main_effects=["all"]) if e.get("main_effects") == "all" else e
+            for e in raw.get("regressions") or []
+        ],
         unparseable_policy=raw.get("unparseable", "incorrect"),
         equality_tolerance=float(raw.get("equality_tolerance", 0.05)),
         equality_pairs=[tuple(p) for p in raw.get("equality_pairs") or []],
@@ -343,10 +347,20 @@ def run_experiment(
                         dataset, case, variant, mask, cfg.fewshot_k, cfg.seed
                     )
                     predictions = run_batch(prompts, options_by_case, backend, cache)
-                    report = metrics_mod.compute_report(
-                        dataset, predictions, case, backend=bname,
-                        policy=cfg.unparseable_policy,
-                    )
+                    try:
+                        report = metrics_mod.compute_report(
+                            dataset, predictions, case, backend=bname,
+                            policy=cfg.unparseable_policy,
+                        )
+                    except AllUnparseable:
+                        # replies that all fail to parse are scored; a cell
+                        # with backend failures, or nothing left to score
+                        # under 'exclude', still aborts the run
+                        if (cfg.unparseable_policy != metrics_mod.POLICY_INCORRECT
+                                or any(p.note for p in predictions)):
+                            raise
+                        report = metrics_mod.unparsed_report(
+                            dataset, predictions, case, backend=bname)
                     base = baseline[case.question_id]
                     report.relative = {
                         "accuracy": metrics_mod.relative_ratio(
@@ -396,7 +410,7 @@ def run_experiment(
     regressions: dict[str, dict] = {}
     for entry in cfg.regressions:
         mains = entry.get("main_effects") or ["all"]
-        if mains == ["all"] or mains == "all":
+        if mains == ["all"]:
             mains = list(dataset.schema.names)
         spec = ModelSpec(
             main_effects=tuple(mains),

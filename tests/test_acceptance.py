@@ -245,8 +245,8 @@ def test_forest_ceiling():
     case = noiseless.cases[0]
     model = fit_in_sample(noiseless, case, params, seed=0)
     assert all(
-        predict(model, p) == case.answers[p.respondent_id]
-        for p in noiseless.profiles
+        y == case.answers[p.respondent_id]
+        for p, y in zip(noiseless.profiles, predict(model, noiseless.profiles))
     )
 
     params = ForestParams(n_trees=150)

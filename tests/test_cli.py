@@ -147,6 +147,21 @@ def test_prompt_sweep_constant_metric_interval():
     assert (min(vals), max(vals)) == (0.5, 1.0)
 
 
+def test_all_unparseable_cell_is_scored(tmp_path):
+    write_population(tmp_path, questions=("vote", "trust"))
+    cfg = write_config(tmp_path, backends=(
+        "  - {name: mock, kind: mock, strategy: unparseable}"))
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--offline"])
+    assert result.exit_code == 0, result.output
+    cells = json.loads((tmp_path / "out" / "metrics.json").read_text())["cells"]
+    assert len(cells) == 2
+    for cell in cells:
+        report = cell["report"]
+        assert report["accuracy"] == 0.0 and report["jss"] == 0.0
+        assert report["n_unparseable"] == report["n_total"] == 120
+        assert ["gender", "Man"] in report["flagged_groups"]
+
+
 def test_regressions_in_bundle(tmp_path):
     write_population(tmp_path, n=200)
     cfg = write_config(tmp_path, extra=textwrap.dedent("""\
@@ -161,6 +176,21 @@ def test_regressions_in_bundle(tmp_path):
     assert "gender (ref = Man)" in md
     csv_text = (tmp_path / "out" / "regression_model1__mock.csv").read_text()
     assert csv_text.startswith("term,estimate,se,z,p,stars")
+
+
+def test_scalar_main_effects_all(tmp_path):
+    write_population(tmp_path, n=200)
+    cfg = write_config(tmp_path, extra=textwrap.dedent("""\
+        regressions:
+          - name: model1
+            main_effects: all
+    """))
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--offline"])
+    assert result.exit_code == 0, result.output
+    md = (tmp_path / "out" / "regression_model1__mock.md").read_text()
+    for attr in ("gender (ref = Man)", "age (ref = Young Adult)",
+                 "ideology (ref = Center)"):
+        assert attr in md
 
 
 def test_equality_pairs(tmp_path):

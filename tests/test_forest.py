@@ -1,16 +1,20 @@
+import hashlib
+import textwrap
+
 import numpy as np
 import pytest
 
-from surveyaudit.data import SocioProfile
+from surveyaudit.data import Attribute, AttributeSchema, SocioProfile, save_dataset
 from surveyaudit.errors import SchemaMismatch
 from surveyaudit.forest import (
     ForestParams,
+    _gini,
     baseline_metrics,
     fit_in_sample,
-    load_model,
     predict,
-    save_model,
 )
+from surveyaudit.runner import load_config, run_experiment
+from surveyaudit.synthetic import CaseSpec, PopulationSpec, generate
 
 from conftest import make_dataset
 
@@ -30,8 +34,9 @@ def test_noiseless_mapping_memorized():
     ds = noiseless_dataset()
     case = ds.cases[0]
     model = fit_in_sample(ds, case, FAST, seed=3)
+    predicted = predict(model, ds.profiles)
     correct = sum(
-        predict(model, p) == case.answers[p.respondent_id] for p in ds.profiles
+        y == case.answers[p.respondent_id] for p, y in zip(ds.profiles, predicted)
     )
     assert correct == len(ds.profiles)
     assert not model.degenerate
@@ -42,7 +47,7 @@ def test_degenerate_single_class():
     case = ds.cases[0]
     model = fit_in_sample(ds, case, FAST, seed=1)
     assert model.degenerate
-    assert all(predict(model, p) == 0 for p in ds.profiles)
+    assert all(y == 0 for y in predict(model, ds.profiles))
 
 
 def test_same_seed_identical_predictions():
@@ -51,8 +56,8 @@ def test_same_seed_identical_predictions():
     case = ds.cases[0]
     a = fit_in_sample(ds, case, FAST, seed=9)
     b = fit_in_sample(ds, case, FAST, seed=9)
-    for p in ds.profiles:
-        assert predict(a, p) == predict(b, p)
+    for ya, yb in zip(predict(a, ds.profiles), predict(b, ds.profiles)):
+        assert ya == yb
 
 
 def test_schema_mismatch():
@@ -60,7 +65,7 @@ def test_schema_mismatch():
     model = fit_in_sample(ds, ds.cases[0], FAST, seed=0)
     alien = SocioProfile("x", {"gender": "Man", "age": "Toddler"})
     with pytest.raises(SchemaMismatch):
-        predict(model, alien)
+        predict(model, [alien])
 
 
 def test_in_sample_beats_majority_share():
@@ -133,10 +138,178 @@ def test_row_shuffle_reproducible():
     assert report1.jss == report2.jss
 
 
-def test_serialization_round_trip(tmp_path):
-    ds = noiseless_dataset(60)
-    model = fit_in_sample(ds, ds.cases[0], ForestParams(n_trees=10), seed=1)
-    save_model(model, tmp_path / "forest.json")
-    again = load_model(tmp_path / "forest.json")
-    for p in ds.profiles:
-        assert predict(model, p) == predict(again, p)
+# --- reference grower: one gini_gain call per candidate feature -----------
+#
+# The per-feature grower the forest used before it tallied once per node.
+# It shares no code with the production grower and serves as its oracle:
+# both consume the same rng stream, so they must build identical trees.
+
+def _reference_gini_gain(y, mask, n_classes):
+    n = len(y)
+    left = y[~mask]
+    right = y[mask]
+    if len(left) == 0 or len(right) == 0:
+        return -1.0
+
+    def gini(part):
+        counts = np.bincount(part, minlength=n_classes)
+        p = counts / len(part)
+        return 1.0 - float(np.sum(p * p))
+
+    parent = gini(y)
+    weighted = (len(left) / n) * gini(left) + (len(right) / n) * gini(right)
+    return parent - weighted
+
+
+def _reference_grow_tree(X, y, n_classes, params, rng):
+    n, d = X.shape
+    k = params.features_per_split or int(np.ceil(np.sqrt(d)))
+    nodes = []
+
+    def counts(idx):
+        return np.bincount(y[idx], minlength=n_classes)
+
+    def leaf(idx):
+        nodes.append((-1, -1, -1, counts(idx)))
+        return len(nodes) - 1
+
+    def build(idx, depth):
+        labels = y[idx]
+        if (
+            len(idx) < 2 * params.min_samples_leaf
+            or len(np.unique(labels)) == 1
+            or (params.max_depth is not None and depth >= params.max_depth)
+        ):
+            return leaf(idx)
+        order = rng.permutation(d)
+        best_feature = -1
+        best_gain = 0.0
+        for tried, f in enumerate(order, 1):
+            gain = _reference_gini_gain(labels, X[idx, f] == 1, n_classes)
+            if gain > best_gain + 1e-12:
+                best_gain = gain
+                best_feature = f
+            if tried >= k and best_feature >= 0:
+                break
+        if best_feature < 0:
+            return leaf(idx)
+        mask = X[idx, best_feature] == 1
+        left_idx = idx[~mask]
+        right_idx = idx[mask]
+        if (
+            len(left_idx) < params.min_samples_leaf
+            or len(right_idx) < params.min_samples_leaf
+        ):
+            return leaf(idx)
+        node_pos = len(nodes)
+        nodes.append(None)
+        left = build(left_idx, depth + 1)
+        right = build(right_idx, depth + 1)
+        nodes[node_pos] = (int(best_feature), left, right, counts(idx))
+        return node_pos
+
+    build(rng.integers(0, n, n), 0)
+    return nodes
+
+
+def _one_hot(dataset):
+    blocks = []
+    for attr in dataset.schema.attributes:
+        block = np.zeros((len(dataset.profiles), len(attr.categories)),
+                         dtype=np.uint8)
+        for i, p in enumerate(dataset.profiles):
+            block[i, attr.categories.index(p.values[attr.name])] = 1
+        blocks.append(block)
+    return np.hstack(blocks)
+
+
+def _six_attribute_population(seed, n, options):
+    attrs = (
+        Attribute("gender", ("Man", "Woman"), "Man"),
+        Attribute("age", ("Young", "Adult", "Senior"), "Young"),
+        Attribute("education", ("Primary", "Secondary", "Tertiary"), "Primary"),
+        Attribute("region", ("North", "South", "East", "West"), "North"),
+        Attribute("ideology", ("Left", "Center", "Right"), "Center"),
+        Attribute("interest", ("Low", "Medium", "High"), "Medium"),
+    )
+    k = len(options)
+    skew = tuple((j + 1) / (k * (k + 1) / 2) for j in range(k))
+    cases = (
+        CaseSpec("vote", options, tuple([1 / k] * k), depends_on="ideology",
+                 table={"Left": skew, "Center": tuple([1 / k] * k),
+                        "Right": skew[::-1]}),
+        CaseSpec("policy", options, skew, depends_on="age",
+                 table={"Young": skew, "Adult": skew[::-1],
+                        "Senior": tuple([1 / k] * k)}),
+        CaseSpec("news", options, skew),
+    )
+    schema = AttributeSchema(attrs, "respondent_id",
+                             tuple(c.question_id for c in cases))
+    marginals = {a.name: tuple([1 / len(a.categories)] * len(a.categories))
+                 for a in attrs}
+    dataset, _ = generate(PopulationSpec(schema, marginals, n, cases,
+                                         seed=seed))
+    return dataset
+
+
+def test_gini_sums_like_numpy():
+    # split choices stay bit-identical only if every impurity does
+    rng = np.random.default_rng(0)
+    for n_classes in range(2, 13):
+        for _ in range(300):
+            counts = rng.integers(0, 60, n_classes)
+            counts[0] += 1
+            p = counts / counts.sum()
+            expected = 1.0 - float(np.sum(p * p))
+            assert _gini(counts.astype(float).tolist(), float(counts.sum())) == expected
+
+
+@pytest.mark.parametrize("params, n_options", [
+    (ForestParams(n_trees=8), 3),
+    (ForestParams(n_trees=8, min_samples_leaf=3), 3),
+    (ForestParams(n_trees=8, max_depth=4), 3),
+    (ForestParams(n_trees=8, features_per_split=2), 3),
+    # ten classes: an impurity then sums more terms than numpy adds in order
+    (ForestParams(n_trees=4), 10),
+])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_trees_match_reference_grower(params, n_options, seed):
+    options = tuple(f"o{j}" for j in range(n_options))
+    ds = _six_attribute_population(seed, n=160, options=options)
+    X = _one_hot(ds)
+    for case in ds.cases:
+        y = np.array([case.answers[p.respondent_id] for p in ds.profiles])
+        model = fit_in_sample(ds, case, params, seed=seed)
+        for tree_idx, tree in enumerate(model.trees):
+            expected = _reference_grow_tree(
+                X, y, n_options, params, np.random.default_rng((seed, tree_idx)))
+            assert len(tree.nodes) == len(expected)
+            for node, (feature, left, right, counts) in zip(tree.nodes, expected):
+                assert (node["feature"], node["left"], node["right"]) == \
+                    (feature, left, right)
+                assert np.array_equal(node["counts"], counts)
+
+
+def test_forest_heavy_bundle_bytes_pinned(tmp_path):
+    # any byte drift in the forest ceiling (or anything else in the bundle)
+    # changes this digest; the value was taken with the per-feature grower
+    ds = _six_attribute_population(7, n=120, options=("A", "B", "C"))
+    save_dataset(ds, tmp_path / "data.csv", tmp_path / "schema.yaml")
+    (tmp_path / "config.yaml").write_text(textwrap.dedent("""\
+        dataset: {csv: data.csv, schema: schema.yaml}
+        backends:
+          - {name: mock, kind: mock, strategy: majority}
+        variant: zeroshot
+        political: [ideology, interest]
+        forest: {n_trees: 40, min_samples_leaf: 2, seed: 5}
+        seed: 11
+        output: out
+    """))
+    run_experiment(load_config(tmp_path / "config.yaml"), offline=True)
+    digest = hashlib.sha256()
+    for path in sorted((tmp_path / "out").rglob("*")):
+        if path.is_file():
+            digest.update(str(path.relative_to(tmp_path / "out")).encode())
+            digest.update(path.read_bytes())
+    assert digest.hexdigest() == (
+        "ce06fd6a7d50094825c8af70ca42d75244691929e0a0f6b41a430527becf3a6f")

@@ -1,7 +1,10 @@
+import json
 import threading
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from surveyaudit.errors import AuthMissing, BackendUnavailable
 from surveyaudit.gateway import (
@@ -61,6 +64,32 @@ def test_parse_no_match_unparseable():
     assert parse_response("no idea", ["Boric", "Kast"]) is None
 
 
+def test_parse_label_inside_longer_label():
+    # "agree" inside "disagree" is not a second hit
+    options = ["Agree", "Neither", "Disagree"]
+    assert parse_response("They would say disagree.", options) == 2
+    assert parse_response("They would say agree.", options) == 0
+    assert parse_response("Not sure, probably yes", ["Yes", "No"]) == 0
+    # a label inside a longer word is no hit at all
+    assert parse_response("I don't know", ["Yes", "No"]) is None
+    likert = ["Strongly agree", "Agree", "Disagree", "Strongly disagree"]
+    assert parse_response("I would strongly disagree.", likert) == 3
+
+
+_words = st.from_regex(r"[A-Za-z]{1,8}", fullmatch=True).filter(
+    lambda w: w.lower() not in {"they", "would", "say"})
+_labels = st.lists(_words, min_size=1, max_size=3).map(" ".join)
+
+
+@given(st.lists(_labels, min_size=1, max_size=6,
+                unique_by=lambda label: label.lower()),
+       st.data())
+def test_parse_reply_naming_one_option(options, data):
+    i = data.draw(st.integers(0, len(options) - 1))
+    assert parse_response(options[i], options) == i
+    assert parse_response(f"They would say {options[i]}.", options) == i
+
+
 def test_parse_deterministic_total():
     for text in ["", "x", "1.", "Option 9", "Boric Boric"]:
         a = parse_response(text, ["Boric", "Kast"])
@@ -86,6 +115,43 @@ def test_cache_round_trip(tmp_path):
     # reload from disk
     cache2 = ExchangeCache(tmp_path / "cache.jsonl")
     assert cache2.get(key) == "reply"
+
+
+def test_cache_skips_torn_final_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    first, second = cache_key("p", "m", 0.0), cache_key("q", "m", 0.0)
+    cache = ExchangeCache(path)
+    cache.put(first, "p", "m", 0.0, "reply")
+    whole = path.read_bytes()
+    torn = json.dumps({"key": second, "raw_text": "cut"})[:20]
+    path.write_bytes(whole + torn.encode())
+
+    cache = ExchangeCache(path)
+    assert cache.torn_tail == len(torn)
+    assert cache.get(first) == "reply"
+    assert len(cache) == 1
+    # the next append replaces the torn line, so the file loads again whole
+    cache.put(second, "q", "m", 0.0, "other")
+    again = ExchangeCache(path)
+    assert again.torn_tail == 0
+    assert (again.get(first), again.get(second)) == ("reply", "other")
+
+    # a whole last record without its newline is kept and ended properly
+    path.write_bytes(whole.rstrip(b"\n"))
+    cache = ExchangeCache(path)
+    assert (cache.torn_tail, cache.get(first)) == (0, "reply")
+    cache.put(second, "q", "m", 0.0, "other")
+    assert len(ExchangeCache(path)) == 2
+
+
+def test_cache_malformed_inner_line_raises(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ExchangeCache(path)
+    cache.put(cache_key("p", "m", 0.0), "p", "m", 0.0, "reply")
+    good = path.read_text(encoding="utf-8")
+    path.write_text('{"key": "x", "raw' + "\n" + good, encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError):
+        ExchangeCache(path)
 
 
 def test_remote_uses_cache_without_network(tmp_path, monkeypatch):
