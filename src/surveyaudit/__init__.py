@@ -14,7 +14,6 @@ from .metrics import (
     jss,
     overall_accuracy_equality,
     relative_ratio,
-    weighted_group_jss,
 )
 from .prompts import AblationMask, PromptVariant, RenderedPrompt, render
 
@@ -23,6 +22,5 @@ __all__ = [
     "BackendConfig", "Prediction", "parse_response",
     "MetricReport", "accuracy", "compute_report", "empirical_distribution",
     "harmonic_mean", "jss", "overall_accuracy_equality", "relative_ratio",
-    "weighted_group_jss",
     "AblationMask", "PromptVariant", "RenderedPrompt", "render",
 ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import click
@@ -10,17 +9,34 @@ import click
 from . import synthetic as synth_mod
 from .data import load_dataset, save_dataset
 from .errors import ConfigError, SurveyAuditError
-from .gateway import Prediction
 from .metrics import compute_report
-from .regression import ModelSpec, build_design, fit_logit, summarize
-from .runner import ExperimentConfig, load_config, run_experiment
+from .runner import (
+    ExperimentConfig,
+    fit_regressions,
+    load_config,
+    primary_cells,
+    read_cells,
+    run_experiment,
+    write_regressions,
+)
 
 
-def _load(config_path: str, out: str | None, seed: int | None) -> ExperimentConfig:
+def _load(config_path: str, out: str | None) -> ExperimentConfig:
     cfg = load_config(config_path)
     if out:
         cfg.out_dir = Path(out)
     return cfg
+
+
+def _audit(config_path, out, offline, seed, done, adjust=lambda cfg: None):
+    """Load the config, let the command adjust it, run, and report."""
+    try:
+        cfg = _load(config_path, out)
+        adjust(cfg)
+        bundle = run_experiment(cfg, offline=offline, seed_override=seed)
+    except SurveyAuditError as exc:
+        raise click.ClickException(str(exc))
+    click.echo(f"{done} {bundle.out_dir}")
 
 
 @click.group()
@@ -43,39 +59,26 @@ def _common(fn):
 @_common
 def run(config_path, out, offline, seed):
     """Full pipeline: baseline, prompts, metrics, regressions, bundle."""
-    try:
-        cfg = _load(config_path, out, seed)
-        bundle = run_experiment(cfg, offline=offline, seed_override=seed)
-    except SurveyAuditError as exc:
-        raise click.ClickException(str(exc))
-    click.echo(f"bundle written to {bundle.out_dir}")
+    _audit(config_path, out, offline, seed, "bundle written to")
 
 
 @main.command()
 @_common
 def ablation(config_path, out, offline, seed):
     """Run the full ablation sweep (all masks) and emit the ablation table."""
-    try:
-        cfg = _load(config_path, out, seed)
-        cfg.ablation = True
-        bundle = run_experiment(cfg, offline=offline, seed_override=seed)
-    except SurveyAuditError as exc:
-        raise click.ClickException(str(exc))
-    click.echo(f"ablation bundle written to {bundle.out_dir}")
+    _audit(config_path, out, offline, seed, "ablation bundle written to",
+           lambda cfg: setattr(cfg, "ablation", True))
 
 
 @main.command(name="prompt-sweep")
 @_common
 def prompt_sweep(config_path, out, offline, seed):
     """Run every configured prompt variant and summarize sensitivity."""
-    try:
-        cfg = _load(config_path, out, seed)
+    def adjust(cfg):
         if len(cfg.variants) < 2:
             cfg.variants = ["original", "spanish", "zeroshot"]
-        bundle = run_experiment(cfg, offline=offline, seed_override=seed)
-    except SurveyAuditError as exc:
-        raise click.ClickException(str(exc))
-    click.echo(f"sweep bundle written to {bundle.out_dir}")
+
+    _audit(config_path, out, offline, seed, "sweep bundle written to", adjust)
 
 
 @main.command()
@@ -84,46 +87,22 @@ def prompt_sweep(config_path, out, offline, seed):
               type=click.Path(exists=True),
               help="predictions.jsonl from a previous run")
 def regress(config_path, out, offline, seed, predictions_path):
-    """Fit the configured regressions on an existing prediction log."""
+    """Fit the configured regressions on an existing prediction log, per
+    backend, on the cells of the first configured variant under the All
+    mask (every cell when there are none), as ``run`` does."""
     try:
-        cfg = _load(config_path, out, seed)
+        cfg = _load(config_path, out)
         dataset = load_dataset(cfg.csv_path, cfg.schema_path)
-        predictions = []
-        with open(predictions_path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    predictions.append(Prediction(
-                        respondent_id=rec["respondent_id"],
-                        question_id=rec["question_id"],
-                        backend=rec["backend"],
-                        raw_text=rec["raw_text"],
-                        parsed=rec["parsed"],
-                    ))
-        out_dir = Path(out or cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for entry in cfg.regressions:
-            mains = entry.get("main_effects") or ["all"]
-            if mains == ["all"]:
-                mains = list(dataset.schema.names)
-            spec = ModelSpec(
-                main_effects=tuple(mains),
-                interactions=tuple(tuple(i) for i in entry.get("interactions") or []),
-                question_fixed_effects=bool(
-                    entry.get("question_fixed_effects", True)
-                ),
-                name=entry.get("name", "model"),
-            )
-            design = build_design(dataset, predictions, spec,
-                                  policy=cfg.unparseable_policy)
-            fit = fit_logit(design)
-            (out_dir / f"regression_{spec.name}.md").write_text(
-                summarize(fit, spec, design) + "\n", encoding="utf-8"
-            )
-            click.echo(f"{spec.name}: {len(fit.columns)} terms, "
-                       f"loglik {fit.log_likelihood:.2f}")
+        primary = primary_cells(read_cells(predictions_path), cfg.variants[0])
+        regressions = fit_regressions(dataset, cfg, primary)
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        write_regressions(cfg.out_dir, regressions)
     except SurveyAuditError as exc:
         raise click.ClickException(str(exc))
+    for key, bits in regressions.items():
+        fit = bits["fit"]
+        click.echo(f"{key}: {len(fit.columns)} terms, "
+                   f"loglik {fit.log_likelihood:.2f}")
 
 
 @main.command()
@@ -206,12 +185,7 @@ def _population_spec_from(section: dict) -> "synth_mod.PopulationSpec":
 @_common
 def report(config_path, out, offline, seed):
     """Re-render the report bundle from cached predictions (no backend calls)."""
-    try:
-        cfg = _load(config_path, out, seed)
-        bundle = run_experiment(cfg, offline=True, seed_override=seed)
-    except SurveyAuditError as exc:
-        raise click.ClickException(str(exc))
-    click.echo(f"bundle re-rendered to {bundle.out_dir}")
+    _audit(config_path, out, True, seed, "bundle re-rendered to")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Survey microdata loading, validation, and categorical recoding.
+"""Survey microdata loading and validation.
 
 The canonical in-memory shape is a :class:`Dataset`: an ordered list of
 respondent profiles over a fixed categorical schema, plus one
@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
+import numpy as np
 import yaml
 
 from .errors import (
@@ -23,7 +24,6 @@ from .errors import (
     MissingColumn,
     UnknownAttribute,
     UnknownCategory,
-    UnmappedValue,
 )
 
 
@@ -99,6 +99,19 @@ class SurveyCase:
 
 
 @dataclass(frozen=True)
+class CodedView:
+    """The profiles as integers: each respondent's row, and the category
+    index of every (row, attribute) pair, attributes in schema order."""
+
+    rows: Mapping[str, int]
+    codes: np.ndarray
+
+    def of(self, respondent_ids: Iterable[str]) -> np.ndarray:
+        """Code rows of the given respondents, in the order given."""
+        return self.codes[[self.rows[r] for r in respondent_ids]]
+
+
+@dataclass(frozen=True)
 class Dataset:
     schema: AttributeSchema
     profiles: tuple[SocioProfile, ...]
@@ -137,6 +150,24 @@ class Dataset:
         if cached is None:
             cached = {p.respondent_id: p for p in self.profiles}
             self.__dict__["_by_id_cache"] = cached
+        return cached
+
+    @property
+    def coded(self) -> CodedView:
+        cached = self.__dict__.get("_coded_cache")
+        if cached is None:
+            attrs = self.schema.attributes
+            codes = np.array(
+                [[a.categories.index(p.values[a.name]) for a in attrs]
+                 for p in self.profiles],
+                dtype=np.intp,
+            ).reshape(len(self.profiles), len(attrs))
+            codes.setflags(write=False)
+            cached = CodedView(
+                rows={p.respondent_id: i for i, p in enumerate(self.profiles)},
+                codes=codes,
+            )
+            self.__dict__["_coded_cache"] = cached
         return cached
 
     def case(self, question_id: str) -> SurveyCase:
@@ -290,13 +321,3 @@ def partition_by(dataset: Dataset, attribute: str) -> list[tuple[str, frozenset[
     for p in dataset.profiles:
         buckets[p.values[attribute]].add(p.respondent_id)
     return [(c, frozenset(buckets[c])) for c in attr.categories]
-
-
-def recode(raw_value: str, codebook: Mapping[str, str]) -> str:
-    """Map one raw survey coding onto a harmonized category label."""
-    if not codebook:
-        raise UnmappedValue("empty codebook")
-    try:
-        return codebook[raw_value]
-    except KeyError:
-        raise UnmappedValue(f"value {raw_value!r} not covered by codebook") from None

@@ -33,10 +33,6 @@ class UnknownAttribute(SurveyAuditError):
     pass
 
 
-class UnmappedValue(SurveyAuditError):
-    pass
-
-
 # --- prompt rendering ---
 
 class InsufficientExamples(SurveyAuditError):

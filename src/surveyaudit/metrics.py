@@ -2,20 +2,21 @@
 accuracy-equality fairness check.
 
 JSS uses base-2 logarithms so the divergence term lives in [0, 1] and the
-similarity score needs no further normalization.  The unparseable policy
-("incorrect" or "exclude") is applied identically by every operation that
-consumes predictions.
+similarity score needs no further normalization.  Every group figure reads
+one integer tally, ``group_tally``, which is also the one place the
+unparseable policy ("incorrect" or "exclude") is applied.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, SurveyCase, partition_by
+from .data import Dataset, SurveyCase
 from .errors import (
     AllUnparseable,
     EmptyPredictions,
@@ -28,12 +29,94 @@ from .gateway import Prediction
 
 POLICY_INCORRECT = "incorrect"
 POLICY_EXCLUDE = "exclude"
+# parsed code of a reply that matched no option
+UNPARSED = -1
 
 
 def round_half_away(value: float, digits: int = 2) -> float:
     """Round half away from zero (table rendering convention)."""
     q = Decimal(1).scaleb(-digits)
     return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
+
+
+@dataclass(frozen=True)
+class GroupTally:
+    """Counts per group; ``truth`` and ``predicted`` are (groups, options)."""
+
+    members: list[int]
+    scored: list[int]
+    correct: list[int]
+    unparseable: list[int]
+    truth: np.ndarray
+    predicted: np.ndarray
+
+
+def group_tally(
+    groups: np.ndarray,
+    n_groups: int,
+    truth: np.ndarray,
+    parsed: np.ndarray,
+    n_options: int,
+    policy: str,
+) -> GroupTally:
+    """Per-group outcome counts over integer codes: group, true option and
+    parsed option (UNPARSED where a reply did not parse) per prediction.
+
+    This is the one place the unparseable policy is applied: under
+    'incorrect' an unparsed prediction is scored as wrong, under 'exclude'
+    it is not scored.  Truth counts cover the scored predictions, predicted
+    counts the parsed ones.
+    """
+    ok = parsed != UNPARSED
+    scored = ok if policy == POLICY_EXCLUDE else np.ones_like(ok)
+
+    def count(mask):
+        return np.bincount(groups[mask], minlength=n_groups)
+
+    def per_option(mask, options):
+        flat = np.bincount(groups[mask] * n_options + options[mask],
+                           minlength=n_groups * n_options)
+        return flat.reshape(n_groups, n_options)
+
+    members = np.bincount(groups, minlength=n_groups)
+    return GroupTally(
+        members=members.tolist(),
+        scored=count(scored).tolist(),
+        correct=count(ok & (parsed == truth)).tolist(),
+        unparseable=(members - count(ok)).tolist(),
+        truth=per_option(scored, truth),
+        predicted=per_option(ok, parsed),
+    )
+
+
+def _outcomes(
+    predictions: Sequence[Prediction], case: SurveyCase
+) -> tuple[np.ndarray, np.ndarray]:
+    """True and parsed option of each prediction, as integer codes."""
+    try:
+        truth = [case.answers[p.respondent_id] for p in predictions]
+    except KeyError as exc:
+        raise UnknownRespondent(
+            f"no true answer for {exc.args[0]!r} in case {case.question_id!r}"
+        ) from None
+    parsed = [UNPARSED if p.parsed is None else p.parsed for p in predictions]
+    return np.array(truth, dtype=np.intp), np.array(parsed, dtype=np.intp)
+
+
+def _scores(
+    tally: GroupTally, g: int
+) -> tuple[Optional[float], Optional[float], bool]:
+    """Accuracy, JSS and the all-unparseable flag of group ``g``: with
+    nothing scored there is neither figure, and the flag says whether the
+    group has members; with no parsed reply JSS is 0 and the group flagged."""
+    n = tally.scored[g]
+    if n == 0:
+        return None, None, tally.members[g] > 0
+    n_parsed = tally.members[g] - tally.unparseable[g]
+    if n_parsed == 0:
+        return tally.correct[g] / n, 0.0, True
+    similarity = jss(tally.truth[g] / n, tally.predicted[g] / n_parsed)
+    return tally.correct[g] / n, similarity, False
 
 
 def accuracy(
@@ -44,24 +127,12 @@ def accuracy(
     """Share of correct predictions (correct count over total count)."""
     if not predictions:
         raise EmptyPredictions("no predictions to score")
-    correct = 0
-    total = 0
-    for p in predictions:
-        if p.respondent_id not in truth.answers:
-            raise UnknownRespondent(
-                f"no true answer for {p.respondent_id!r} in case "
-                f"{truth.question_id!r}"
-            )
-        if p.parsed is None:
-            if policy == POLICY_INCORRECT:
-                total += 1
-            continue
-        total += 1
-        if p.parsed == truth.answers[p.respondent_id]:
-            correct += 1
-    if total == 0:
+    answers, parsed = _outcomes(predictions, truth)
+    tally = group_tally(np.zeros(len(parsed), np.intp), 1, answers, parsed,
+                        len(truth.options), policy)
+    if tally.scored[0] == 0:
         raise AllUnparseable("every prediction is unparseable under 'exclude'")
-    return correct / total
+    return tally.correct[0] / tally.scored[0]
 
 
 def empirical_distribution(
@@ -98,86 +169,6 @@ def jss(p: np.ndarray, q: np.ndarray) -> float:
 def _kl_base2(p: np.ndarray, m: np.ndarray) -> float:
     mask = p > 0
     return float(np.sum(p[mask] * np.log2(p[mask] / m[mask])))
-
-
-@dataclass(frozen=True)
-class GroupStats:
-    category: str
-    n: int
-    n_correct: int
-    n_unparseable: int
-    accuracy: Optional[float]
-    jss: Optional[float]
-    all_unparseable: bool
-
-
-def group_stats(
-    dataset: Dataset,
-    predictions: Sequence[Prediction],
-    case: SurveyCase,
-    attribute: str,
-    policy: str = POLICY_INCORRECT,
-) -> list[GroupStats]:
-    """Per-category accuracy and JSS for one attribute.
-
-    Categories without any predictions yield n=0 rows (kept so enumeration
-    order stays schema-stable); a group whose predictions are all
-    unparseable keeps its weight but scores jss 0 and is flagged.
-    """
-    by_id = {p.respondent_id: p for p in predictions}
-    out = []
-    for category, ids in partition_by(dataset, attribute):
-        members = [by_id[r] for r in sorted(ids) if r in by_id]
-        n_unparseable = sum(1 for p in members if p.parsed is None)
-        if policy == POLICY_EXCLUDE:
-            scored = [p for p in members if p.parsed is not None]
-        else:
-            scored = members
-        n = len(scored)
-        if n == 0:
-            out.append(GroupStats(category, 0, 0, n_unparseable, None, None,
-                                  bool(members)))
-            continue
-        n_correct = sum(
-            1 for p in scored
-            if p.parsed is not None and p.parsed == case.answers[p.respondent_id]
-        )
-        parsed = [p.parsed for p in members if p.parsed is not None]
-        if parsed:
-            truth_dist = empirical_distribution(
-                (case.answers[p.respondent_id] for p in scored), len(case.options)
-            )
-            pred_dist = empirical_distribution(parsed, len(case.options))
-            group_jss = jss(truth_dist, pred_dist)
-            flagged = False
-        else:
-            group_jss = 0.0
-            flagged = True
-        out.append(GroupStats(
-            category=category,
-            n=n,
-            n_correct=n_correct,
-            n_unparseable=n_unparseable,
-            accuracy=n_correct / n,
-            jss=group_jss,
-            all_unparseable=flagged,
-        ))
-    return out
-
-
-def weighted_group_jss(
-    dataset: Dataset,
-    predictions: Sequence[Prediction],
-    case: SurveyCase,
-    attribute: str,
-    policy: str = POLICY_INCORRECT,
-) -> float:
-    """Subgroup JSS values weighted by each group's share of the sample."""
-    stats = group_stats(dataset, predictions, case, attribute, policy)
-    total = sum(g.n for g in stats)
-    if total == 0:
-        raise EmptyPredictions("no scored predictions for weighting")
-    return sum((g.n / total) * (g.jss or 0.0) for g in stats if g.n > 0)
 
 
 def relative_ratio(model_value: float, baseline_value: float) -> float:
@@ -285,7 +276,15 @@ def compute_report(
     With no parsed prediction there is no predicted distribution, so this
     raises AllUnparseable; ``unparsed_report`` scores such a cell.
     """
-    return _report(dataset, predictions, case, backend, policy, strict=True)
+    if not predictions:
+        raise EmptyPredictions("no predictions to report on")
+    answers, parsed = _outcomes(predictions, case)
+    if (parsed == UNPARSED).all():
+        raise AllUnparseable(
+            "every prediction is unparseable under 'exclude'"
+            if policy == POLICY_EXCLUDE
+            else "no parsed items to build a distribution from")
+    return _report(dataset, predictions, case, backend, policy, answers, parsed)
 
 
 def unparsed_report(
@@ -295,10 +294,12 @@ def unparsed_report(
     backend: str = "",
 ) -> MetricReport:
     """The battery of a cell in which no prediction parsed, under
-    'incorrect': scored like such a group in ``group_stats``, every
-    prediction counts as wrong, JSS is 0 and every group is flagged."""
+    'incorrect': every prediction counts as wrong, JSS is 0 and every group
+    is flagged."""
+    if not predictions:
+        raise EmptyPredictions("no predictions to report on")
     return _report(dataset, predictions, case, backend, POLICY_INCORRECT,
-                   strict=False)
+                   *_outcomes(predictions, case))
 
 
 def _report(
@@ -307,51 +308,33 @@ def _report(
     case: SurveyCase,
     backend: str,
     policy: str,
-    strict: bool,
+    answers: np.ndarray,
+    parsed: np.ndarray,
 ) -> MetricReport:
-    if not predictions:
-        raise EmptyPredictions("no predictions to report on")
-    acc = accuracy(predictions, case, policy)
-    n_unparseable = sum(1 for p in predictions if p.parsed is None)
-    if policy == POLICY_EXCLUDE:
-        n_total = len(predictions) - n_unparseable
-    else:
-        n_total = len(predictions)
-    n_correct = sum(
-        1 for p in predictions
-        if p.parsed is not None and p.parsed == case.answers[p.respondent_id]
-    )
+    n_options = len(case.options)
+    overall = group_tally(np.zeros(len(parsed), np.intp), 1, answers, parsed,
+                          n_options, policy)
+    acc, overall_jss, _ = _scores(overall, 0)
 
-    if policy == POLICY_EXCLUDE:
-        scored = [p for p in predictions if p.parsed is not None]
-    else:
-        scored = list(predictions)
-    truth_dist = empirical_distribution(
-        (case.answers[p.respondent_id] for p in scored), len(case.options)
-    )
-    if strict or n_unparseable < len(predictions):
-        pred_dist = empirical_distribution(
-            (p.parsed for p in predictions), len(case.options)
-        )
-        overall_jss = jss(truth_dist, pred_dist)
-    else:
-        overall_jss = 0.0
-
+    codes = dataset.coded.of(p.respondent_id for p in predictions)
     weighted: dict[str, float] = {}
     pg_acc: dict[str, dict[str, Optional[float]]] = {}
     pg_jss: dict[str, dict[str, Optional[float]]] = {}
     sizes: dict[str, dict[str, int]] = {}
     flagged: list[tuple[str, str]] = []
-    for attr in dataset.schema.names:
-        stats = group_stats(dataset, predictions, case, attr, policy)
-        total = sum(g.n for g in stats)
-        weighted[attr] = sum(
-            (g.n / total) * (g.jss or 0.0) for g in stats if g.n > 0
+    for j, attr in enumerate(dataset.schema.attributes):
+        tally = group_tally(codes[:, j], len(attr.categories), answers, parsed,
+                            n_options, policy)
+        scores = [_scores(tally, g) for g in range(len(attr.categories))]
+        total = sum(tally.scored)
+        weighted[attr.name] = sum(
+            (n / total) * s[1] for n, s in zip(tally.scored, scores) if n > 0
         )
-        pg_acc[attr] = {g.category: g.accuracy for g in stats}
-        pg_jss[attr] = {g.category: g.jss for g in stats}
-        sizes[attr] = {g.category: g.n for g in stats}
-        flagged.extend((attr, g.category) for g in stats if g.all_unparseable)
+        pg_acc[attr.name] = {c: s[0] for c, s in zip(attr.categories, scores)}
+        pg_jss[attr.name] = {c: s[1] for c, s in zip(attr.categories, scores)}
+        sizes[attr.name] = dict(zip(attr.categories, tally.scored))
+        flagged += [(attr.name, c)
+                    for c, s in zip(attr.categories, scores) if s[2]]
 
     return MetricReport(
         question_id=case.question_id,
@@ -362,11 +345,38 @@ def _report(
         per_group_accuracy=pg_acc,
         per_group_jss=pg_jss,
         group_sizes=sizes,
-        n_total=n_total,
-        n_correct=n_correct,
-        n_unparseable=n_unparseable,
+        n_total=overall.scored[0],
+        n_correct=overall.correct[0],
+        n_unparseable=overall.unparseable[0],
         flagged_groups=flagged,
         jss_weighted_mean=(
             sum(weighted.values()) / len(weighted) if weighted else None
         ),
     )
+
+
+def intersection_accuracy(
+    dataset: Dataset,
+    predictions: Sequence[Prediction],
+    case: SurveyCase,
+    attr_a: str,
+    attr_b: str,
+    policy: str = POLICY_INCORRECT,
+) -> tuple[dict, dict]:
+    """Accuracy per (category_a, category_b) intersection cell.
+
+    The cell of a prediction is coded ``code_a * |B| + code_b``; cells
+    with nothing scored have accuracy None.
+    """
+    schema = dataset.schema
+    a, b = schema.attribute(attr_a), schema.attribute(attr_b)
+    codes = dataset.coded.of(p.respondent_id for p in predictions)
+    cells = (codes[:, schema.names.index(attr_a)] * len(b.categories)
+             + codes[:, schema.names.index(attr_b)])
+    answers, parsed = _outcomes(predictions, case)
+    tally = group_tally(cells, len(a.categories) * len(b.categories), answers,
+                        parsed, len(case.options), policy)
+    keys = list(itertools.product(a.categories, b.categories))
+    acc = {key: (correct / n if n else None)
+           for key, correct, n in zip(keys, tally.correct, tally.scored)}
+    return acc, dict(zip(keys, tally.scored))

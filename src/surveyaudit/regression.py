@@ -18,6 +18,7 @@ import numpy as np
 from .data import Dataset
 from .errors import CollinearColumn, EmptyDesign, Separation, Singular
 from .gateway import Prediction
+from .metrics import UNPARSED, group_tally
 
 SEPARATION_BETA = 30.0
 
@@ -93,18 +94,24 @@ def build_design(
     non-reference dummies.
     """
     case_by_id = {c.question_id: c for c in dataset.cases}
-    rows = []
-    for p in predictions:
-        case = case_by_id[p.question_id]
-        if p.parsed is None and policy == "exclude":
-            continue
-        correct = int(p.parsed is not None and p.parsed == case.answers[p.respondent_id])
-        rows.append((p.respondent_id, p.question_id, correct))
-    if not rows:
+    truth = np.array([case_by_id[p.question_id].answers[p.respondent_id]
+                      for p in predictions], dtype=np.intp)
+    parsed = np.array([UNPARSED if p.parsed is None else p.parsed
+                       for p in predictions], dtype=np.intp)
+    # each prediction is its own group: scored 0/1 and correct 0/1
+    n_options = max((len(c.options) for c in dataset.cases), default=0)
+    outcome = group_tally(np.arange(len(predictions)), len(predictions),
+                          truth, parsed, n_options, policy)
+    keep = np.flatnonzero(outcome.scored)
+    if not len(keep):
         raise EmptyDesign("no usable prediction rows")
+    rows = [(predictions[i].respondent_id, predictions[i].question_id)
+            for i in keep]
 
+    qids = np.array([qid for _, qid in rows])
     questions = [c.question_id for c in dataset.cases
-                 if any(r[1] == c.question_id for r in rows)]
+                 if (qids == c.question_id).any()]
+    codes = dataset.coded.of(rid for rid, _ in rows)
     columns: list[str] = []
     col_data: list[np.ndarray] = []
     n = len(rows)
@@ -112,9 +119,7 @@ def build_design(
     if spec.question_fixed_effects:
         for qid in questions:
             columns.append(f"question[{qid}]")
-            col_data.append(
-                np.array([1.0 if r[1] == qid else 0.0 for r in rows])
-            )
+            col_data.append((qids == qid).astype(float))
     else:
         columns.append("intercept")
         col_data.append(np.ones(n))
@@ -124,15 +129,11 @@ def build_design(
     for attr_name in spec.main_effects:
         attr = dataset.schema.attribute(attr_name)
         references[attr_name] = attr.reference
-        for cat in attr.categories:
+        j = dataset.schema.names.index(attr_name)
+        for k, cat in enumerate(attr.categories):
             if cat == attr.reference:
                 continue
-            col = np.array(
-                [
-                    1.0 if dataset.profile(r[0]).values[attr_name] == cat else 0.0
-                    for r in rows
-                ]
-            )
+            col = (codes[:, j] == k).astype(float)
             dummy_cols[(attr_name, cat)] = col
             columns.append(f"{attr_name}={cat}")
             col_data.append(col)
@@ -150,7 +151,7 @@ def build_design(
                 col_data.append(dummy_cols[(a, ca)] * dummy_cols[(b, cb)])
 
     X = np.column_stack(col_data)
-    y = np.array([r[2] for r in rows], dtype=float)
+    y = np.array(outcome.correct, dtype=float)[keep]
 
     zero = [columns[j] for j in range(X.shape[1]) if not X[:, j].any()]
     if zero:
@@ -171,7 +172,7 @@ def build_design(
         X=X,
         y=y,
         columns=tuple(columns),
-        rows=tuple((r[0], r[1]) for r in rows),
+        rows=tuple(rows),
         references=references,
     )
 

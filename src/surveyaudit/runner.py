@@ -11,6 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,8 +22,8 @@ import yaml
 from . import forest as forest_mod
 from . import metrics as metrics_mod
 from . import reporting
-from .data import Dataset, SurveyCase, load_dataset, partition_by
-from .errors import AllUnparseable, ConfigError
+from .data import Dataset, SurveyCase, load_dataset
+from .errors import AllUnparseable, BackendUnavailable, ConfigError
 from .gateway import (
     BackendConfig,
     ExchangeCache,
@@ -31,6 +32,7 @@ from .gateway import (
     build_backend,
     run_batch,
 )
+from .metrics import intersection_accuracy
 from .prompts import (
     DEFAULT_FEWSHOT_K,
     DEFAULT_POLITICAL,
@@ -210,7 +212,7 @@ class CellResult:
     case_id: str
     variant: str
     mask_label: str
-    report: metrics_mod.MetricReport
+    report: Optional[metrics_mod.MetricReport]
     predictions: list[Prediction]
 
 
@@ -258,37 +260,6 @@ def render_case_prompts(
             fewshot = []
         prompts.append(render(profile, case, variant, mask, fewshot))
     return prompts
-
-
-def intersection_accuracy(
-    dataset: Dataset,
-    predictions: Sequence[Prediction],
-    case: SurveyCase,
-    attr_a: str,
-    attr_b: str,
-    policy: str = "incorrect",
-) -> tuple[dict, dict]:
-    """Accuracy per (category_a, category_b) intersection cell."""
-    by_id = {p.respondent_id: p for p in predictions}
-    acc: dict = {}
-    sizes: dict = {}
-    for cat_a, ids_a in partition_by(dataset, attr_a):
-        for cat_b, ids_b in partition_by(dataset, attr_b):
-            members = [by_id[r] for r in sorted(ids_a & ids_b) if r in by_id]
-            if policy == "exclude":
-                members = [p for p in members if p.parsed is not None]
-            key = (cat_a, cat_b)
-            sizes[key] = len(members)
-            if not members:
-                acc[key] = None
-                continue
-            correct = sum(
-                1 for p in members
-                if p.parsed is not None
-                and p.parsed == case.answers[p.respondent_id]
-            )
-            acc[key] = correct / len(members)
-    return acc, sizes
 
 
 def run_experiment(
@@ -347,6 +318,13 @@ def run_experiment(
                         dataset, case, variant, mask, cfg.fewshot_k, cfg.seed
                     )
                     predictions = run_batch(prompts, options_by_case, backend, cache)
+                    failed = [p.note for p in predictions if p.note]
+                    if predictions and len(failed) == len(predictions):
+                        raise BackendUnavailable(
+                            f"backend {bname!r} gave no parsed reply for case "
+                            f"{case.question_id!r} ({variant.value}, {mask.label()}): "
+                            f"{len(failed)} of {len(predictions)} prompts failed: "
+                            f"{failed[0]}")
                     try:
                         report = metrics_mod.compute_report(
                             dataset, predictions, case, backend=bname,
@@ -381,10 +359,7 @@ def run_experiment(
     # accuracy equality, single attributes and configured intersections,
     # evaluated on the default-variant all-mask cells
     equality: dict = {}
-    primary = [
-        c for c in cells
-        if c.variant == variants[0].value and c.mask_label == "All"
-    ] or cells
+    primary = primary_cells(cells, variants[0].value)
     for cell in primary:
         case = dataset.case(cell.case_id)
         per_case: dict = {}
@@ -406,33 +381,7 @@ def run_experiment(
             per_case[f"{a} x {b}"] = {"verdict": verdict, "accuracy": acc_map}
         equality[(cell.backend, cell.case_id)] = per_case
 
-    # regressions over the pooled primary predictions, per backend
-    regressions: dict[str, dict] = {}
-    for entry in cfg.regressions:
-        mains = entry.get("main_effects") or ["all"]
-        if mains == ["all"]:
-            mains = list(dataset.schema.names)
-        spec = ModelSpec(
-            main_effects=tuple(mains),
-            interactions=tuple(tuple(i) for i in entry.get("interactions") or []),
-            question_fixed_effects=bool(entry.get("question_fixed_effects", True)),
-            name=entry.get("name", "model"),
-        )
-        for backend, _ in backends:
-            bname = backend.config.name
-            pooled = [
-                p for c in primary if c.backend == bname for p in c.predictions
-            ]
-            if not pooled:
-                continue
-            design = build_design(dataset, pooled, spec,
-                                  policy=cfg.unparseable_policy)
-            fit = fit_logit(design)
-            regressions[f"{spec.name}__{bname}"] = {
-                "spec": spec,
-                "design": design,
-                "fit": fit,
-            }
+    regressions = fit_regressions(dataset, cfg, primary)
 
     manifest = {
         "config_hash": cfg.config_hash,
@@ -456,6 +405,75 @@ def run_experiment(
     )
     write_bundle(bundle, cfg, dataset, cases)
     return bundle
+
+
+def primary_cells(cells: Sequence[CellResult], variant: str) -> list[CellResult]:
+    """The cells that equality and the regressions read: the given
+    (first configured) variant under the All mask, or every cell when no
+    such cell ran."""
+    return [
+        c for c in cells if c.variant == variant and c.mask_label == "All"
+    ] or list(cells)
+
+
+def fit_regressions(dataset: Dataset, cfg: ExperimentConfig,
+                    primary: Sequence[CellResult]) -> dict[str, dict]:
+    """Fit every configured regression once per backend, on that backend's
+    pooled primary predictions; keys are ``<name>__<backend>``."""
+    pooled: dict[str, list[Prediction]] = {}
+    for c in primary:
+        pooled.setdefault(c.backend, []).extend(c.predictions)
+    regressions: dict[str, dict] = {}
+    for entry in cfg.regressions:
+        mains = entry.get("main_effects") or ["all"]
+        if mains == ["all"]:
+            mains = list(dataset.schema.names)
+        spec = ModelSpec(
+            main_effects=tuple(mains),
+            interactions=tuple(tuple(i) for i in entry.get("interactions") or []),
+            question_fixed_effects=bool(entry.get("question_fixed_effects", True)),
+            name=entry.get("name", "model"),
+        )
+        for bname, predictions in pooled.items():
+            design = build_design(dataset, predictions, spec,
+                                  policy=cfg.unparseable_policy)
+            regressions[f"{spec.name}__{bname}"] = {
+                "spec": spec, "design": design, "fit": fit_logit(design)}
+    return regressions
+
+
+def read_cells(path: str | Path) -> list[CellResult]:
+    """The cells of a ``predictions.jsonl`` written by ``write_bundle``,
+    in file order, without their reports."""
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    cells = itertools.groupby(records, key=lambda r: (
+        r["backend"], r["question_id"], r["variant"], r["mask"]))
+    return [
+        CellResult(*key, report=None, predictions=[
+            Prediction(r["respondent_id"], r["question_id"], r["backend"],
+                       r["raw_text"], r["parsed"], note=r["note"])
+            for r in group
+        ])
+        for key, group in cells
+    ]
+
+
+def write_regressions(out: Path, regressions: dict[str, dict]) -> None:
+    """``regression_<name>__<backend>.md`` and ``.csv`` per fitted model."""
+    for key, bits in regressions.items():
+        table = summarize(bits["fit"], bits["spec"], bits["design"])
+        (out / f"regression_{key}.md").write_text(table + "\n", encoding="utf-8")
+        rows = to_csv_rows(bits["fit"])
+        lines = ["term,estimate,se,z,p,stars"]
+        for r in rows:
+            lines.append(
+                f"{r['term']},{r['estimate']:.10g},{r['se']:.10g},"
+                f"{r['z']:.10g},{r['p']:.10g},{r['stars']}"
+            )
+        (out / f"regression_{key}.csv").write_text(
+            "\n".join(lines) + "\n", encoding="utf-8"
+        )
 
 
 def _dump_json(path: Path, payload) -> None:
@@ -547,13 +565,7 @@ def write_bundle(bundle: ReportBundle, cfg: ExperimentConfig,
     # ablation table when more than one mask ran
     mask_labels = bundle.manifest["masks"]
     if len(mask_labels) > 1:
-        per_backend: dict[str, list] = {}
-        for label in mask_labels:
-            for c in bundle.cells:
-                if c.mask_label != label or c.variant != default_variant:
-                    continue
-                per_backend.setdefault(c.backend, [])
-        for bname in per_backend:
+        for bname in bundle.manifest["backends"]:
             rows = []
             for label in mask_labels:
                 cells_for = {
@@ -599,20 +611,7 @@ def write_bundle(bundle: ReportBundle, cfg: ExperimentConfig,
         )
         _dump_json(out / "sensitivity.json", payload)
 
-    # regression tables
-    for key, bits in bundle.regressions.items():
-        table = summarize(bits["fit"], bits["spec"], bits["design"])
-        (out / f"regression_{key}.md").write_text(table + "\n", encoding="utf-8")
-        rows = to_csv_rows(bits["fit"])
-        lines = ["term,estimate,se,z,p,stars"]
-        for r in rows:
-            lines.append(
-                f"{r['term']},{r['estimate']:.10g},{r['se']:.10g},"
-                f"{r['z']:.10g},{r['p']:.10g},{r['stars']}"
-            )
-        (out / f"regression_{key}.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
+    write_regressions(out, bundle.regressions)
 
     # per-figure plot data: group series per (backend, case, attribute)
     plots = out / "plots"

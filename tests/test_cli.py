@@ -246,3 +246,48 @@ def test_offline_converts_remote_to_replay(tmp_path):
     result = runner.invoke(main, ["run", "--config", str(cfg), "--offline"])
     assert result.exit_code != 0
     assert "no parsed" in result.output
+
+
+def test_backend_failure_names_the_cause(tmp_path):
+    write_population(tmp_path)
+    backends = (
+        "  - {name: gpt, kind: remote, model_id: gpt-x,\n"
+        "     endpoint: 'http://example.invalid/v1'}"
+    )
+    cfg = write_config(tmp_path, backends=backends)
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--offline"])
+    assert result.exit_code != 0
+    assert ("backend 'gpt' gave no parsed reply for case 'vote' "
+            "(zeroshot, All): 120 of 120 prompts failed: backend failure: "
+            "replay cache has no entry") in result.output
+
+
+def test_regress_reproduces_run_regressions(tmp_path):
+    write_population(tmp_path, n=200, questions=("vote", "ref"))
+    backends = (
+        "  - {name: maj, kind: mock, strategy: majority}\n"
+        "          - {name: first, kind: mock, strategy: first_option}"
+    )
+    cfg = write_config(tmp_path, backends=backends, extra=textwrap.dedent("""\
+        variants: [zeroshot, original]
+        ablation: true
+        regressions:
+          - name: model1
+            main_effects: [gender, age]
+            interactions: [[gender, age]]
+    """))
+    runner = CliRunner()
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--offline"])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, [
+        "regress", "--config", str(cfg), "--out", str(tmp_path / "refit"),
+        "--predictions", str(tmp_path / "out" / "predictions.jsonl"),
+    ])
+    assert result.exit_code == 0, result.output
+    ran = {name: data for name, data in bundle_bytes(tmp_path / "out").items()
+           if name.startswith("regression_")}
+    assert sorted(ran) == [
+        "regression_model1__first.csv", "regression_model1__first.md",
+        "regression_model1__maj.csv", "regression_model1__maj.md",
+    ]
+    assert bundle_bytes(tmp_path / "refit") == ran

@@ -1,13 +1,12 @@
 import pytest
 
-from surveyaudit.data import load_dataset, partition_by, recode, save_dataset
+from surveyaudit.data import load_dataset, partition_by, save_dataset
 from surveyaudit.errors import (
     DuplicateRespondent,
     EmptyDataset,
     MissingColumn,
     UnknownAttribute,
     UnknownCategory,
-    UnmappedValue,
 )
 
 from conftest import make_dataset
@@ -124,16 +123,3 @@ def test_partition_sizes_sum_over_synthetic_populations():
         for attr in ds.schema.names:
             assert sum(len(ids) for _, ids in partition_by(ds, attr)) == n
 
-
-def test_recode_band():
-    book = {"18-29": "Young Adult", "30-59": "Adult", "60+": "Senior Adult"}
-    assert recode("18-29", book) == "Young Adult"
-
-
-def test_recode_identity():
-    assert recode("x", {"x": "x"}) == "x"
-
-
-def test_recode_unmapped():
-    with pytest.raises(UnmappedValue):
-        recode("99", {"1": "a"})

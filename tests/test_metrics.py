@@ -23,7 +23,6 @@ from surveyaudit.metrics import (
     overall_accuracy_equality,
     relative_ratio,
     round_half_away,
-    weighted_group_jss,
 )
 
 from conftest import make_dataset
@@ -165,7 +164,7 @@ def test_weighted_single_group_equals_plain():
     rep = compute_report(ds, preds, case)
     # gender has two groups here; build a schema-level single-group check
     # via an attribute where all members share one category
-    w = weighted_group_jss(ds, preds, case, "gender")
+    w = rep.weighted_jss["gender"]
     assert 0.0 <= w <= 1.0
 
 
@@ -180,7 +179,8 @@ def test_weighted_forced_arithmetic():
         if p.values["gender"] == "Man" else None,
     )
     # weights: men 4/8, women 4/8 -> expected 0.5*1 + 0.5*0
-    assert abs(weighted_group_jss(ds, preds, case, "gender") - 0.5) < 1e-12
+    w = compute_report(ds, preds, case).weighted_jss["gender"]
+    assert abs(w - 0.5) < 1e-12
 
 
 def test_weighted_matches_brute_force():
@@ -190,8 +190,9 @@ def test_weighted_matches_brute_force():
     case = ds.cases[0]
     preds = preds_for(ds, lambda i, p: (i * 7) % 3)
     oracle = brute_force_metrics(ds, preds, case)
+    rep = compute_report(ds, preds, case)
     for attr in ds.schema.names:
-        mine = weighted_group_jss(ds, preds, case, attr)
+        mine = rep.weighted_jss[attr]
         assert abs(mine - oracle["weighted_jss"][attr]) < 1e-12
 
 
