@@ -89,11 +89,14 @@ def prompt_sweep(config_path, out, offline, seed):
 def regress(config_path, out, offline, seed, predictions_path):
     """Fit the configured regressions on an existing prediction log, per
     backend, on the cells of the first configured variant under the All
-    mask (every cell when there are none), as ``run`` does."""
+    mask (the first mask when All did not run), as ``run`` does."""
     try:
         cfg = _load(config_path, out)
         dataset = load_dataset(cfg.csv_path, cfg.schema_path)
         primary = primary_cells(read_cells(predictions_path), cfg.variants[0])
+        if not primary:
+            raise ConfigError(f"{predictions_path} has no predictions of "
+                              f"variant {cfg.variants[0]!r}")
         regressions = fit_regressions(dataset, cfg, primary)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         write_regressions(cfg.out_dir, regressions)

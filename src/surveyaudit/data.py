@@ -170,6 +170,19 @@ class Dataset:
             self.__dict__["_coded_cache"] = cached
         return cached
 
+    def answered(self, case: SurveyCase
+                 ) -> tuple[tuple[str, ...], Mapping[str, int]]:
+        """The respondents with a known answer for ``case``, in profile
+        order, and each one's position in that order; built once per case."""
+        cache = self.__dict__.setdefault("_answered_cache", {})
+        cached = cache.get(case.question_id)
+        if cached is None or cached[0] is not case:
+            ids = tuple(p.respondent_id for p in self.profiles
+                        if p.respondent_id in case.answers)
+            cached = (case, ids, {rid: i for i, rid in enumerate(ids)})
+            cache[case.question_id] = cached
+        return cached[1], cached[2]
+
     def case(self, question_id: str) -> SurveyCase:
         for c in self.cases:
             if c.question_id == question_id:

@@ -4,11 +4,13 @@ Three backend kinds are supported: a remote JSON chat-completion endpoint,
 a deterministic mock for tests and dry runs, and a replay backend that
 serves exclusively from the cache (offline CI).  Every remote exchange is
 appended to a JSON-lines cache keyed by (prompt text, model id,
-temperature), so a finished run can be re-scored without any network.
+temperature), and by the target respondent when the temperature is above 0,
+so a finished run can be re-scored without any network.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -75,19 +77,32 @@ class Prediction:
         }
 
 
-def cache_key(prompt_text: str, model_id: str, temperature: float) -> str:
-    payload = json.dumps(
-        {"prompt": prompt_text, "model": model_id, "temperature": temperature},
-        sort_keys=True,
-    )
+def cache_key(prompt_text: str, model_id: str, temperature: float,
+              respondent_id: Optional[str] = None) -> str:
+    fields = {"prompt": prompt_text, "model": model_id, "temperature": temperature}
+    if respondent_id is not None:
+        fields["respondent"] = respondent_id
+    payload = json.dumps(fields, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def prompt_key(prompt: RenderedPrompt, config: BackendConfig) -> str:
+    """The cache key of a prompt sent to a backend.  Above temperature 0 the
+    replies to one text are separate draws, so each target respondent keeps
+    its own; at 0 every prompt with the same text shares one reply."""
+    return cache_key(
+        prompt.text, config.model_id, config.temperature,
+        prompt.target_id if config.temperature > 0 else None,
+    )
 
 
 class ExchangeCache:
     """Append-only JSON-lines cache of prompt/response exchanges.
 
     Concurrent appends are serialized by a lock; identical keys always map
-    to identical values, so last-writer-wins is harmless.
+    to identical values, so last-writer-wins is harmless.  The file is
+    opened for appending on the first ``put`` and stays open until
+    ``close``; every record is flushed as it is written.
 
     A final line that does not decode is a write cut short: it is skipped
     on load, its length is kept in ``torn_tail``, and it is cut off the file
@@ -98,6 +113,10 @@ class ExchangeCache:
         self.path = Path(path) if path else None
         self._lock = threading.Lock()
         self._entries: dict[str, str] = {}
+        # one lock per key that a caller is fetching, dropped on its put;
+        # after a failed fetch the waiting callers take it in turn
+        self._flights: dict[str, threading.Lock] = {}
+        self._fh = None
         self.hits = 0
         self.misses = 0
         self.torn_tail = 0  # bytes of a torn final line skipped on load
@@ -154,10 +173,33 @@ class ExchangeCache:
                     "raw_text": raw_text,
                     "timestamp": time.time(),
                 }
-                if self._keep is not None:
-                    self._mend_tail()
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(rec) + "\n")
+                if self._fh is None:
+                    if self._keep is not None:
+                        self._mend_tail()
+                    self._fh = self.path.open("a", encoding="utf-8")
+                self._fh.write(json.dumps(rec) + "\n")
+                self._fh.flush()
+            self._flights.pop(key, None)
+
+    @contextlib.contextmanager
+    def flight(self, key: str):
+        """Single flight for a missed key: of the callers that miss it at
+        once, one holds the key while it fetches and puts the value, and the
+        others wait.  Yields the value when an earlier holder put it
+        meanwhile, else None."""
+        with self._lock:
+            lock = self._flights.setdefault(key, threading.Lock())
+        with lock:
+            with self._lock:
+                value = self._entries.get(key)
+            yield value
+
+    def close(self) -> None:
+        """Close the append handle; a later ``put`` opens it again."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -245,8 +287,7 @@ class ReplayBackend:
         self.cache = cache
 
     def complete(self, prompt: RenderedPrompt) -> str:
-        key = cache_key(prompt.text, self.config.model_id, self.config.temperature)
-        value = self.cache.get(key)
+        value = self.cache.get(prompt_key(prompt, self.config))
         if value is None:
             raise BackendUnavailable(
                 f"replay cache has no entry for case {prompt.case_id!r} "
@@ -335,19 +376,23 @@ def complete(prompt: RenderedPrompt, backend, cache: Optional[ExchangeCache] = N
     """Run one prompt, returning (raw_text, cache_hit).
 
     Mock backends are deterministic and bypass the cache entirely; remote
-    exchanges are cached before return.
+    exchanges are cached before return.  Concurrent misses on one key make
+    one backend call: the other callers wait for its reply.
     """
     config: BackendConfig = backend.config
     if isinstance(backend, ReplayBackend):
         return backend.complete(prompt), True
     if isinstance(backend, MockBackend) or cache is None:
         return backend.complete(prompt), False
-    key = cache_key(prompt.text, config.model_id, config.temperature)
+    key = prompt_key(prompt, config)
     cached = cache.get(key)
     if cached is not None:
         return cached, True
-    raw = backend.complete(prompt)
-    cache.put(key, prompt.text, config.model_id, config.temperature, raw)
+    with cache.flight(key) as landed:
+        if landed is not None:
+            return landed, True
+        raw = backend.complete(prompt)
+        cache.put(key, prompt.text, config.model_id, config.temperature, raw)
     return raw, False
 
 

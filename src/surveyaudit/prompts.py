@@ -8,7 +8,9 @@ with named placeholders and can be swapped without touching code.
 from __future__ import annotations
 
 import enum
+import functools
 import random
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
@@ -125,6 +127,26 @@ def ablation_plan(
     return plan
 
 
+class _Skipping(SequenceABC):
+    """A read-only view of ``items`` without the item at position ``skip``
+    (``None``: without none).  Its length and item order are those of the
+    list with that item removed, so ``random.sample`` draws the same ids
+    from it, in O(k) instead of the O(N) of building that list."""
+
+    def __init__(self, items: Sequence[str], skip: Optional[int]):
+        self._items = items
+        self._skip = len(items) if skip is None else skip
+        self._len = len(items) - (skip is not None)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> str:
+        if not 0 <= i < self._len:
+            raise IndexError(i)
+        return self._items[i + (i >= self._skip)]
+
+
 def sample_fewshot(
     dataset: Dataset,
     case: SurveyCase,
@@ -137,11 +159,8 @@ def sample_fewshot(
     Only respondents with a known answer for the case are eligible.
     Deterministic for a fixed (dataset, case, k, exclude, seed).
     """
-    eligible = [
-        p.respondent_id
-        for p in dataset.profiles
-        if p.respondent_id in case.answers and p.respondent_id != exclude
-    ]
+    answered, position = dataset.answered(case)
+    eligible = _Skipping(answered, position.get(exclude))
     if k > len(eligible):
         raise InsufficientExamples(
             f"need {k} examples for case {case.question_id!r} but only "
@@ -150,14 +169,22 @@ def sample_fewshot(
     return random.Random(seed).sample(eligible, k)
 
 
-def _attribute_block(profile: SocioProfile, included: Sequence[str]) -> str:
-    return "\n".join(f"- {name}: {profile.values[name]}" for name in included)
+def _attribute_block(profile: SocioProfile, included: tuple[str, ...]) -> str:
+    # kept on the profile: a respondent's block under one mask is the same
+    # in its own prompt and in every prompt that shows it as an example
+    blocks = profile.__dict__.setdefault("_attribute_blocks", {})
+    block = blocks.get(included)
+    if block is None:
+        block = blocks[included] = "\n".join(
+            f"- {name}: {profile.values[name]}" for name in included)
+    return block
 
 
 def _options_block(case: SurveyCase) -> str:
     return "\n".join(f"{i + 1}. {label}" for i, label in enumerate(case.options))
 
 
+@functools.lru_cache(maxsize=None)  # one entry per variant
 def _load_template(variant: PromptVariant) -> str:
     ref = resources.files("surveyaudit.templates") / f"{variant.value}.txt"
     return ref.read_text(encoding="utf-8")

@@ -15,7 +15,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import yaml
 
@@ -236,29 +236,32 @@ def _select_cases(dataset: Dataset, cfg: ExperimentConfig) -> list[SurveyCase]:
     return [c for c in dataset.cases if c.question_id in cfg.case_ids]
 
 
+def draw_fewshot(dataset: Dataset, case: SurveyCase, k: int,
+                 seed: int) -> dict[str, list[str]]:
+    """Each respondent with a known answer mapped to the ids of its k
+    few-shot examples.  The draw depends on (seed, case, respondent) only,
+    so one draw serves every variant and mask of the case."""
+    return {
+        rid: sample_fewshot(dataset, case, k, exclude=rid,
+                            seed=_fewshot_seed(seed, case.question_id, rid))
+        for rid in dataset.answered(case)[0]
+    }
+
+
 def render_case_prompts(
     dataset: Dataset,
     case: SurveyCase,
     variant: PromptVariant,
     mask: AblationMask,
-    k: int,
-    seed: int,
+    examples: Optional[Mapping[str, Sequence[str]]],
 ):
-    """Render one prompt per respondent with a known answer."""
+    """Render one prompt per respondent with a known answer, in profile
+    order; few-shot variants show the examples that ``examples`` names."""
     prompts = []
-    for profile in dataset.profiles:
-        rid = profile.respondent_id
-        if rid not in case.answers:
-            continue
-        if variant.uses_fewshot:
-            ids = sample_fewshot(
-                dataset, case, k, exclude=rid,
-                seed=_fewshot_seed(seed, case.question_id, rid),
-            )
-            fewshot = [(dataset.profile(i), case.answers[i]) for i in ids]
-        else:
-            fewshot = []
-        prompts.append(render(profile, case, variant, mask, fewshot))
+    for rid in dataset.answered(case)[0]:
+        ids = examples[rid] if variant.uses_fewshot else ()
+        fewshot = [(dataset.profile(i), case.answers[i]) for i in ids]
+        prompts.append(render(dataset.profile(rid), case, variant, mask, fewshot))
     return prompts
 
 
@@ -307,57 +310,25 @@ def run_experiment(
         )
         baseline[case.question_id] = report
 
-    options_by_case = {c.question_id: c.options for c in dataset.cases}
-    cells: list[CellResult] = []
-    for backend, entry in backends:
-        bname = backend.config.name
-        for case in cases:
-            for variant in variants:
-                for mask in masks:
-                    prompts = render_case_prompts(
-                        dataset, case, variant, mask, cfg.fewshot_k, cfg.seed
-                    )
-                    predictions = run_batch(prompts, options_by_case, backend, cache)
-                    failed = [p.note for p in predictions if p.note]
-                    if predictions and len(failed) == len(predictions):
-                        raise BackendUnavailable(
-                            f"backend {bname!r} gave no parsed reply for case "
-                            f"{case.question_id!r} ({variant.value}, {mask.label()}): "
-                            f"{len(failed)} of {len(predictions)} prompts failed: "
-                            f"{failed[0]}")
-                    try:
-                        report = metrics_mod.compute_report(
-                            dataset, predictions, case, backend=bname,
-                            policy=cfg.unparseable_policy,
-                        )
-                    except AllUnparseable:
-                        # replies that all fail to parse are scored; a cell
-                        # with backend failures, or nothing left to score
-                        # under 'exclude', still aborts the run
-                        if (cfg.unparseable_policy != metrics_mod.POLICY_INCORRECT
-                                or any(p.note for p in predictions)):
-                            raise
-                        report = metrics_mod.unparsed_report(
-                            dataset, predictions, case, backend=bname)
-                    base = baseline[case.question_id]
-                    report.relative = {
-                        "accuracy": metrics_mod.relative_ratio(
-                            report.accuracy, base.accuracy
-                        ) if base.accuracy > 0 else None,
-                        "jss": metrics_mod.relative_ratio(report.jss, base.jss)
-                        if base.jss > 0 else None,
-                    }
-                    cells.append(CellResult(
-                        backend=bname,
-                        case_id=case.question_id,
-                        variant=variant.value,
-                        mask_label=mask.label(),
-                        report=report,
-                        predictions=predictions,
-                    ))
+    examples = {
+        case.question_id: draw_fewshot(dataset, case, cfg.fewshot_k, cfg.seed)
+        if any(v.uses_fewshot for v in variants) else None
+        for case in cases
+    }
+    try:
+        cells = [
+            _run_cell(dataset, cfg, backend, cache, case, variant, mask,
+                      examples[case.question_id], baseline[case.question_id])
+            for backend, _ in backends
+            for case in cases
+            for variant in variants
+            for mask in masks
+        ]
+    finally:
+        cache.close()
 
     # accuracy equality, single attributes and configured intersections,
-    # evaluated on the default-variant all-mask cells
+    # evaluated on the primary cells
     equality: dict = {}
     primary = primary_cells(cells, variants[0].value)
     for cell in primary:
@@ -407,13 +378,68 @@ def run_experiment(
     return bundle
 
 
+def _run_cell(dataset: Dataset, cfg: ExperimentConfig, backend,
+              cache: ExchangeCache, case: SurveyCase, variant: PromptVariant,
+              mask: AblationMask, examples: Optional[Mapping[str, Sequence[str]]],
+              base: metrics_mod.MetricReport) -> CellResult:
+    """Render, dispatch and score one (backend, case, variant, mask) cell;
+    ``base`` is the case's forest report."""
+    bname = backend.config.name
+    prompts = render_case_prompts(dataset, case, variant, mask, examples)
+    predictions = run_batch(prompts, {case.question_id: case.options},
+                            backend, cache)
+    failed = [p.note for p in predictions if p.note]
+    if predictions and len(failed) == len(predictions):
+        raise BackendUnavailable(
+            f"backend {bname!r} gave no parsed reply for case "
+            f"{case.question_id!r} ({variant.value}, {mask.label()}): "
+            f"{len(failed)} of {len(predictions)} prompts failed: "
+            f"{failed[0]}")
+    try:
+        report = metrics_mod.compute_report(
+            dataset, predictions, case, backend=bname,
+            policy=cfg.unparseable_policy,
+        )
+    except AllUnparseable:
+        # replies that all fail to parse are scored; a cell with backend
+        # failures, or nothing left to score under 'exclude', still aborts
+        # the run
+        if (cfg.unparseable_policy != metrics_mod.POLICY_INCORRECT
+                or any(p.note for p in predictions)):
+            raise
+        report = metrics_mod.unparsed_report(
+            dataset, predictions, case, backend=bname)
+    report.relative = {
+        "accuracy": metrics_mod.relative_ratio(
+            report.accuracy, base.accuracy
+        ) if base.accuracy > 0 else None,
+        "jss": metrics_mod.relative_ratio(report.jss, base.jss)
+        if base.jss > 0 else None,
+    }
+    return CellResult(
+        backend=bname,
+        case_id=case.question_id,
+        variant=variant.value,
+        mask_label=mask.label(),
+        report=report,
+        predictions=predictions,
+    )
+
+
+def _primary_mask(cells: Sequence[CellResult]) -> Optional[str]:
+    """The mask of the primary cells: All when it ran, else the first
+    configured mask, which is the mask of the first cell."""
+    if any(c.mask_label == "All" for c in cells):
+        return "All"
+    return cells[0].mask_label if cells else None
+
+
 def primary_cells(cells: Sequence[CellResult], variant: str) -> list[CellResult]:
-    """The cells that equality and the regressions read: the given
-    (first configured) variant under the All mask, or every cell when no
-    such cell ran."""
-    return [
-        c for c in cells if c.variant == variant and c.mask_label == "All"
-    ] or list(cells)
+    """The cells that the main table, the plots, equality and the
+    regressions read: the given (first configured) variant under the
+    primary mask."""
+    mask = _primary_mask(cells)
+    return [c for c in cells if c.variant == variant and c.mask_label == mask]
 
 
 def fit_regressions(dataset: Dataset, cfg: ExperimentConfig,
@@ -513,12 +539,12 @@ def write_bundle(bundle: ReportBundle, cfg: ExperimentConfig,
     }
     _dump_json(out / "metrics.json", metrics_payload)
 
-    # Markdown main table: default variant, All mask
+    # Markdown main table: the primary cells
     default_variant = bundle.manifest["variants"][0]
+    primary = primary_cells(bundle.cells, default_variant)
     models: dict[str, dict[str, metrics_mod.MetricReport]] = {}
-    for c in bundle.cells:
-        if c.variant == default_variant and c.mask_label == "All":
-            models.setdefault(c.backend, {})[c.case_id] = c.report
+    for c in primary:
+        models.setdefault(c.backend, {})[c.case_id] = c.report
     md = [
         "# Audit report",
         "",
@@ -590,12 +616,13 @@ def write_bundle(bundle: ReportBundle, cfg: ExperimentConfig,
     if len(variants) > 1:
         rows = []
         payload = []
+        mask = _primary_mask(bundle.cells)
         for bname in bundle.manifest["backends"]:
             for variant in variants:
                 vals = [
                     c.report.accuracy for c in bundle.cells
                     if c.backend == bname and c.variant == variant
-                    and c.mask_label == "All"
+                    and c.mask_label == mask
                 ]
                 if not vals or any(v <= 0 for v in vals):
                     continue
@@ -616,9 +643,7 @@ def write_bundle(bundle: ReportBundle, cfg: ExperimentConfig,
     # per-figure plot data: group series per (backend, case, attribute)
     plots = out / "plots"
     plots.mkdir(exist_ok=True)
-    for c in bundle.cells:
-        if c.variant != default_variant or c.mask_label != "All":
-            continue
+    for c in primary:
         base = bundle.baseline[c.case_id]
         for attr in dataset.schema.names:
             series = []

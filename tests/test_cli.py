@@ -6,11 +6,15 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from surveyaudit import runner as runner_mod
 from surveyaudit.cli import main
 from surveyaudit.data import Attribute, AttributeSchema, save_dataset
 from surveyaudit.errors import ConfigError
-from surveyaudit.runner import load_config
+from surveyaudit.prompts import PromptVariant
+from surveyaudit.runner import load_config, run_experiment
 from surveyaudit.synthetic import CaseSpec, PopulationSpec, generate
+
+from test_pinned import write_run
 
 
 def write_population(tmp_path, n=120, seed=3, questions=("vote",)):
@@ -291,3 +295,55 @@ def test_regress_reproduces_run_regressions(tmp_path):
         "regression_model1__maj.csv", "regression_model1__maj.md",
     ]
     assert bundle_bytes(tmp_path / "refit") == ran
+
+    # a log without the first configured variant is refused, not pooled
+    cfg.write_text(cfg.read_text().replace(
+        "variants: [zeroshot, original]", "variants: [spanish]"))
+    result = runner.invoke(main, [
+        "regress", "--config", str(cfg), "--out", str(tmp_path / "none"),
+        "--predictions", str(tmp_path / "out" / "predictions.jsonl"),
+    ])
+    assert result.exit_code != 0
+    assert "no predictions of variant 'spanish'" in result.output
+
+
+def test_primary_cells_without_all_mask(tmp_path, monkeypatch):
+    """Without the All mask, the main table, the plots, the sensitivity
+    summary, equality and the regressions all read the first configured
+    variant under the first configured mask."""
+    def variant_reply_fn(strategy, dataset):
+        options = {c.question_id: c.options for c in dataset.cases}
+        # the last option for original prompts, the first for the rest
+        return lambda p: options[p.case_id][
+            -1 if p.variant is PromptVariant.ORIGINAL else 0]
+
+    monkeypatch.setattr(runner_mod, "_mock_reply_fn", variant_reply_fn)
+    outs = {}
+    for name, settings in (
+        ("both", "masks: [without_political, only_political]"),
+        ("first", "masks: [without_political]"),
+    ):
+        d = tmp_path / name
+        d.mkdir()
+        cfg = write_run(d)
+        text = cfg.read_text().replace("ablation: true", settings)
+        if name == "first":
+            text = text.replace("variants: [original, zeroshot]",
+                                "variants: [original]")
+        cfg.write_text(text)
+        run_experiment(load_config(cfg), offline=True)
+        outs[name] = bundle_bytes(d / "out")
+    both, first = outs["both"], outs["first"]
+
+    plots = sorted(k for k in both if k.startswith("plots/"))
+    assert len(plots) == 2 * 2 * 3  # backends x cases x attributes
+    shared = ["metrics.md", "equality.json", *plots,
+              *(k for k in both if k.startswith("regression_"))]
+    assert {k: both[k] for k in shared} == {k: first[k] for k in shared}
+    table = both["metrics.md"].decode()
+    assert "\n| maj |" in table and "\n| first |" in table
+    sensitivity = json.loads(both["sensitivity.json"])
+    assert [(r["backend"], r["variant"]) for r in sensitivity] == [
+        ("maj", "original"), ("maj", "zeroshot"),
+        ("first", "original"), ("first", "zeroshot")]
+    assert sensitivity[0]["harmonic_mean"] != sensitivity[1]["harmonic_mean"]

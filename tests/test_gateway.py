@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 
@@ -285,3 +286,120 @@ def test_run_batch_replay_determinism(tmp_path, monkeypatch):
     second = run_batch(prompts, {case.question_id: case.options}, replay)
     assert [p.to_record() for p in first] == [p.to_record() for p in second]
     assert all(p.cache_hit for p in second)
+
+
+# --- single flight and keys ---
+
+class _Reply:
+    status_code = 200
+    text = ""
+
+    def __init__(self, content):
+        self._content = content
+
+    def json(self):
+        return {"choices": [{"message": {"content": self._content}}]}
+
+
+def _remote(temperature=0.0, parallelism=1):
+    return BackendConfig(name="r", kind="remote", model_id="gpt-x",
+                         endpoint="http://invalid.example/chat",
+                         temperature=temperature, parallelism=parallelism)
+
+
+def test_concurrent_misses_make_one_call(tmp_path, monkeypatch):
+    ds = make_dataset(n=3)
+    prompt = prompt_for(ds)
+    path = tmp_path / "cache.jsonl"
+    cache = ExchangeCache(path)
+    calls = []
+    second = threading.Event()
+
+    class BlockingSession:
+        def post(self, *a, **k):
+            calls.append(1)
+            if len(calls) == 2:
+                second.set()
+            # hold the first call until a second one arrives, or 0.5 s
+            second.wait(0.5)
+            return _Reply("Left")
+
+    monkeypatch.setenv("SURVEYAUDIT_API_KEY", "k")
+    backend = RemoteChatBackend(_remote(), session=BlockingSession())
+    results = []
+    threads = [
+        threading.Thread(target=lambda: results.append(
+            complete(prompt, backend, cache)))
+        for _ in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    cache.close()
+    assert len(calls) == 1
+    assert sorted(results) == [("Left", False), ("Left", True)]
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_run_batch_calls_once_per_distinct_prompt(tmp_path, monkeypatch):
+    # zero-shot prompts of 60 respondents over 6 distinct profiles: 6 texts
+    ds = make_dataset(n=60)
+    case = ds.cases[0]
+    prompts = [prompt_for(ds, i) for i in range(60)]
+    assert len({p.text for p in prompts}) == 6
+    lock = threading.Lock()
+    calls = {"n": 0}
+
+    class SlowSession:
+        def post(self, *a, **k):
+            with lock:
+                calls["n"] += 1
+            time.sleep(0.002)
+            return _Reply("Left")
+
+    monkeypatch.setenv("SURVEYAUDIT_API_KEY", "k")
+    path = tmp_path / "cache.jsonl"
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            path.unlink(missing_ok=True)
+            calls["n"] = 0
+            cache = ExchangeCache(path)
+            backend = RemoteChatBackend(_remote(parallelism=8),
+                                        session=SlowSession())
+            preds = run_batch(prompts, {case.question_id: case.options},
+                              backend, cache)
+            cache.close()
+            assert [p.parsed for p in preds] == [0] * 60
+            assert calls["n"] == 6
+            assert len(path.read_text(encoding="utf-8").splitlines()) == 6
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_temperature_above_zero_keys_by_respondent(tmp_path, monkeypatch):
+    ds = make_dataset(n=7)
+    a, b = prompt_for(ds, 0), prompt_for(ds, 6)  # same profile values
+    assert a.text == b.text and a.target_id != b.target_id
+    monkeypatch.setenv("SURVEYAUDIT_API_KEY", "k")
+    for temperature, expected in ((0.0, 1), (0.7, 2)):
+        calls = []
+
+        class CountingSession:
+            def post(self, *a, **k):
+                calls.append(1)
+                return _Reply(f"Left {len(calls)}")
+
+        config = _remote(temperature)
+        path = tmp_path / f"cache-{temperature}.jsonl"
+        cache = ExchangeCache(path)
+        backend = RemoteChatBackend(config, session=CountingSession())
+        live = [complete(p, backend, cache)[0] for p in (a, b, a, b)]
+        cache.close()
+        assert len(calls) == expected
+        assert len(set(live)) == expected
+        replay = ReplayBackend(config, ExchangeCache(path))
+        assert [replay.complete(p) for p in (a, b)] == live[:2]

@@ -1,7 +1,11 @@
+import dataclasses
+import random
 from collections import Counter
 
 import pytest
 
+from surveyaudit import prompts as prompts_mod
+from surveyaudit.data import SocioProfile
 from surveyaudit.errors import (
     FewshotMismatch,
     InsufficientExamples,
@@ -14,6 +18,8 @@ from surveyaudit.prompts import (
     render,
     sample_fewshot,
 )
+
+from surveyaudit.runner import _fewshot_seed, draw_fewshot, render_case_prompts
 
 from conftest import make_dataset, make_schema
 
@@ -37,6 +43,121 @@ def test_sample_fewshot_boundary():
     ds = make_dataset(n=5)
     with pytest.raises(InsufficientExamples):
         sample_fewshot(ds, ds.cases[0], 5, exclude="r000", seed=1)
+
+
+def _reference_sample_fewshot(dataset, case, k, exclude, seed):
+    """The sampler as a list comprehension over every profile: the
+    reference for the index view that skips the target."""
+    eligible = [
+        p.respondent_id
+        for p in dataset.profiles
+        if p.respondent_id in case.answers and p.respondent_id != exclude
+    ]
+    if k > len(eligible):
+        raise InsufficientExamples(f"only {len(eligible)} eligible")
+    return random.Random(seed).sample(eligible, k)
+
+
+def _partly_answered(n, context=None):
+    """A dataset in which every third respondent has no known answer."""
+    schema = make_schema(attrs=[
+        ("gender", ("Man", "Woman"), "Man"),
+        ("age", ("Young Adult", "Adult", "Senior Adult"), "Young Adult"),
+        ("ideology", ("Left", "Center", "Right"), "Center"),
+        ("region", ("North", "South", "East", "West"), "North"),
+    ])
+    ds = make_dataset(n=n, schema=schema, context=context,
+                      options=("Left", "Centre", "Right"))
+    case = ds.cases[0]
+    answers = {rid: a for i, (rid, a) in enumerate(case.answers.items())
+               if i % 3 != 1}
+    return dataclasses.replace(
+        ds, cases=(dataclasses.replace(case, answers=answers),))
+
+
+@pytest.mark.parametrize("n,k", [(12, 3), (12, 7), (40, 5), (40, 25)])
+def test_sample_fewshot_matches_filtered_list(n, k):
+    ds = _partly_answered(n)
+    case = ds.cases[0]
+    answered = [p.respondent_id for p in ds.profiles
+                if p.respondent_id in case.answers]
+    unanswered = next(p.respondent_id for p in ds.profiles
+                      if p.respondent_id not in case.answers)
+    # first, last and middle of the eligible order, one with no known
+    # answer, and one that is no respondent at all
+    excludes = (answered[0], answered[-1], answered[len(answered) // 2],
+                unanswered, "nobody")
+    for exclude in excludes:
+        for seed in range(200):
+            assert sample_fewshot(ds, case, k, exclude, seed) == \
+                _reference_sample_fewshot(ds, case, k, exclude, seed)
+
+
+def test_sample_fewshot_view_boundary():
+    ds = _partly_answered(12)  # 8 answered respondents
+    case = ds.cases[0]
+    answered = next(iter(case.answers))
+    assert len(sample_fewshot(ds, case, 7, answered, seed=1)) == 7
+    assert len(sample_fewshot(ds, case, 8, "nobody", seed=1)) == 8
+    with pytest.raises(InsufficientExamples):
+        sample_fewshot(ds, case, 8, answered, seed=1)
+
+
+def _fresh(ds):
+    """The dataset with new profile objects, which carry nothing rendered."""
+    return dataclasses.replace(ds, profiles=tuple(
+        SocioProfile(p.respondent_id, dict(p.values)) for p in ds.profiles))
+
+
+@pytest.mark.parametrize("variant", [
+    PromptVariant.ORIGINAL, PromptVariant.SPANISH, PromptVariant.WITH_CONTEXT])
+def test_case_prompts_match_per_mask_reference(variant):
+    ds = _partly_answered(30, context="A runoff election.")
+    case = ds.cases[0]
+    k, seed = 4, 11
+    plan = ablation_plan(ds.schema, political_set={"ideology"})
+    examples = draw_fewshot(ds, case, k, seed)
+    planned = [render_case_prompts(ds, case, variant, mask, examples)
+               for mask in plan]
+
+    reference = []
+    for mask in plan:
+        # a per-mask loop over new profile objects: one draw per prompt
+        fresh = _fresh(ds)
+        out = []
+        for profile in fresh.profiles:
+            rid = profile.respondent_id
+            if rid not in case.answers:
+                continue
+            ids = _reference_sample_fewshot(
+                fresh, case, k, exclude=rid,
+                seed=_fewshot_seed(seed, case.question_id, rid))
+            fewshot = [(fresh.profile(i), case.answers[i]) for i in ids]
+            out.append(render(profile, case, variant, mask, fewshot))
+        reference.append(out)
+    assert planned == reference
+    assert len(planned) == 7 and len(planned[0]) == 20
+
+
+def test_template_read_once_per_variant(monkeypatch):
+    ds = make_dataset(n=10, context="A runoff election.")
+    case = ds.cases[0]
+    reads = Counter()
+    files = prompts_mod.resources.files
+
+    def counted(package):
+        reads[package] += 1
+        return files(package)
+
+    prompts_mod._load_template.cache_clear()
+    monkeypatch.setattr(prompts_mod.resources, "files", counted)
+    for _ in range(3):
+        for variant in PromptVariant:
+            for target in ds.profiles:
+                few = [] if variant is PromptVariant.ZERO_SHOT else \
+                    fewshot_for(ds, case, target.respondent_id)
+                render(target, case, variant, AblationMask.all(), few)
+    assert reads == {"surveyaudit.templates": len(PromptVariant)}
 
 
 def test_sample_fewshot_uniform_frequency():
