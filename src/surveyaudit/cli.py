@@ -16,6 +16,7 @@ from .runner import (
     load_config,
     primary_cells,
     read_cells,
+    regression_specs,
     run_experiment,
     write_regressions,
 )
@@ -97,7 +98,8 @@ def regress(config_path, out, offline, seed, predictions_path):
         if not primary:
             raise ConfigError(f"{predictions_path} has no predictions of "
                               f"variant {cfg.variants[0]!r}")
-        regressions = fit_regressions(dataset, cfg, primary)
+        regressions = fit_regressions(dataset, regression_specs(dataset, cfg),
+                                      primary, cfg.unparseable_policy)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         write_regressions(cfg.out_dir, regressions)
     except SurveyAuditError as exc:

@@ -11,6 +11,7 @@ touch raw CSV again.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
@@ -144,31 +145,23 @@ class Dataset:
     def profile(self, respondent_id: str) -> SocioProfile:
         return self._by_id[respondent_id]
 
-    @property
+    @functools.cached_property
     def _by_id(self) -> dict[str, SocioProfile]:
-        cached = self.__dict__.get("_by_id_cache")
-        if cached is None:
-            cached = {p.respondent_id: p for p in self.profiles}
-            self.__dict__["_by_id_cache"] = cached
-        return cached
+        return {p.respondent_id: p for p in self.profiles}
 
-    @property
+    @functools.cached_property
     def coded(self) -> CodedView:
-        cached = self.__dict__.get("_coded_cache")
-        if cached is None:
-            attrs = self.schema.attributes
-            codes = np.array(
-                [[a.categories.index(p.values[a.name]) for a in attrs]
-                 for p in self.profiles],
-                dtype=np.intp,
-            ).reshape(len(self.profiles), len(attrs))
-            codes.setflags(write=False)
-            cached = CodedView(
-                rows={p.respondent_id: i for i, p in enumerate(self.profiles)},
-                codes=codes,
-            )
-            self.__dict__["_coded_cache"] = cached
-        return cached
+        attrs = self.schema.attributes
+        codes = np.array(
+            [[a.categories.index(p.values[a.name]) for a in attrs]
+             for p in self.profiles],
+            dtype=np.intp,
+        ).reshape(len(self.profiles), len(attrs))
+        codes.setflags(write=False)
+        return CodedView(
+            rows={p.respondent_id: i for i, p in enumerate(self.profiles)},
+            codes=codes,
+        )
 
     def answered(self, case: SurveyCase
                  ) -> tuple[tuple[str, ...], Mapping[str, int]]:

@@ -7,7 +7,8 @@ random feature subset; all randomness flows from an integer seed stream so
 runs are bit-reproducible, serial or parallel.
 
 Every attribute has exactly one active one-hot column per row, so a row is
-stored as the index of its active column per attribute.  A node tallies
+stored as the index of its active column per attribute: its category code
+in ``Dataset.coded`` plus the attribute's first column.  A node tallies
 the classes of all its rows, weighted by bootstrap multiplicity, for every
 feature at once with one ``np.bincount``; a feature's right side is its
 tally and its left side the node total minus it.
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, SocioProfile, SurveyCase
+from .data import AttributeSchema, Dataset, SocioProfile, SurveyCase
 from .errors import SchemaMismatch
 from .gateway import Prediction
 from .metrics import MetricReport, compute_report
@@ -47,54 +48,54 @@ class _Tree:
 
     nodes: np.ndarray
 
-    def evaluate(self, X: np.ndarray) -> np.ndarray:
-        """Leaf class of every row of the one-hot matrix ``X``; a tie goes to
-        the lowest option index."""
+    def evaluate(self, active: np.ndarray,
+                 attribute_of: np.ndarray) -> np.ndarray:
+        """Leaf class of every row of ``active`` (each row's active column
+        per attribute); a tie goes to the lowest option index."""
         feature, left, right = (self.nodes[k] for k in ("feature", "left", "right"))
-        rows = np.arange(len(X))
-        at = np.zeros(len(X), dtype=np.intp)
+        rows = np.arange(len(active))
+        at = np.zeros(len(active), dtype=np.intp)
         while True:
             f = feature[at]
             inner = f >= 0
             if not inner.any():
                 return np.argmax(self.nodes["counts"][at], axis=1)
             # a row already at its leaf reads column -1 and stays put
-            step = np.where(X[rows, f] == 1, right[at], left[at])
+            step = np.where(active[rows, attribute_of[f]] == f,
+                            right[at], left[at])
             at = np.where(inner, step, at)
 
 
 @dataclass
 class ForestModel:
     trees: list[_Tree]
-    feature_names: tuple[str, ...]
-    attribute_order: tuple[str, ...]
-    category_maps: dict[str, dict[str, int]]
+    schema: AttributeSchema
     n_classes: int
     params: ForestParams
     seed: int
     degenerate: bool = False  # single answer class in the training data
 
 
-def _active_columns(
-    attribute_order: Sequence[str],
-    category_maps: dict[str, dict[str, int]],
-    profiles: Sequence[SocioProfile],
-) -> np.ndarray:
-    """(profiles x attributes) index of each row's active one-hot column."""
-    active = np.empty((len(profiles), len(attribute_order)), dtype=np.intp)
-    offset = 0
-    for j, attr in enumerate(attribute_order):
-        cats = category_maps[attr]
+def _columns(schema: AttributeSchema) -> tuple[np.ndarray, np.ndarray]:
+    """Each attribute's first one-hot column, and each column's attribute."""
+    sizes = [len(a.categories) for a in schema.attributes]
+    return np.cumsum([0] + sizes[:-1]), np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _codes(schema: AttributeSchema,
+           profiles: Sequence[SocioProfile]) -> np.ndarray:
+    """(profiles x attributes) category index, as in ``Dataset.coded``."""
+    codes = np.empty((len(profiles), len(schema.attributes)), dtype=np.intp)
+    for j, attr in enumerate(schema.attributes):
         for i, profile in enumerate(profiles):
-            value = profile.values.get(attr)
-            if value not in cats:
+            value = profile.values.get(attr.name)
+            if value not in attr.categories:
                 raise SchemaMismatch(
                     f"profile {profile.respondent_id!r} does not match the "
-                    f"training schema at attribute {attr!r}"
+                    f"training schema at attribute {attr.name!r}"
                 )
-            active[i, j] = offset + cats[value]
-        offset += len(cats)
-    return active
+            codes[i, j] = attr.categories.index(value)
+    return codes
 
 
 def _gini(counts: Sequence[float], n: float) -> float:
@@ -202,22 +203,15 @@ def fit_in_sample(
     Deterministic for a fixed seed: each tree draws from its own generator
     keyed by (seed, tree index), so serial and parallel fits agree.
     """
-    answered = [p for p in dataset.profiles if p.respondent_id in case.answers]
-    if len(answered) < 2:
+    ids = dataset.answered(case)[0]
+    if len(ids) < 2:
         raise ValueError("need at least 2 answered respondents to fit")
-    attributes = dataset.schema.attributes
-    category_maps = {
-        a.name: {c: i for i, c in enumerate(a.categories)} for a in attributes
-    }
-    active = _active_columns(dataset.schema.names, category_maps, answered)
-    y = np.array(
-        [case.answers[p.respondent_id] for p in answered], dtype=np.int64
-    )
+    offsets, attribute_of = _columns(dataset.schema)
+    active = dataset.coded.of(ids) + offsets
+    y = np.array([case.answers[rid] for rid in ids], dtype=np.int64)
     n_classes = len(case.options)
     # column * n_classes + class: one bincount tallies every column's classes
     codes = active * n_classes + y[:, None]
-    attribute_of = np.repeat(np.arange(len(attributes)),
-                             [len(a.categories) for a in attributes])
 
     trees = [
         _grow_tree(active, codes, attribute_of, y, n_classes, params,
@@ -226,10 +220,7 @@ def fit_in_sample(
     ]
     return ForestModel(
         trees=trees,
-        feature_names=tuple(f"{a.name}={c}" for a in attributes
-                            for c in a.categories),
-        attribute_order=dataset.schema.names,
-        category_maps=category_maps,
+        schema=dataset.schema,
         n_classes=n_classes,
         params=params,
         seed=seed,
@@ -240,14 +231,12 @@ def fit_in_sample(
 def predict(model: ForestModel, profiles: Sequence[SocioProfile]) -> list[int]:
     """Majority vote over trees for every profile; ties break to the lowest
     option index."""
-    active = _active_columns(model.attribute_order, model.category_maps,
-                             profiles)
+    offsets, attribute_of = _columns(model.schema)
+    active = _codes(model.schema, profiles) + offsets
     rows = np.arange(len(profiles))
-    X = np.zeros((len(profiles), len(model.feature_names)), dtype=np.uint8)
-    X[rows[:, None], active] = 1
     votes = np.zeros((len(profiles), model.n_classes), dtype=np.int64)
     for tree in model.trees:
-        votes[rows, tree.evaluate(X)] += 1
+        votes[rows, tree.evaluate(active, attribute_of)] += 1
     return np.argmax(votes, axis=1).tolist()
 
 
@@ -260,16 +249,17 @@ def baseline_metrics(
     """Fit in-sample, predict every training row, and run the same metric
     battery applied to model predictions."""
     model = fit_in_sample(dataset, case, params, seed)
-    answered = [p for p in dataset.profiles if p.respondent_id in case.answers]
+    ids = dataset.answered(case)[0]
+    answered = [dataset.profile(rid) for rid in ids]
     predictions = [
         Prediction(
-            respondent_id=p.respondent_id,
+            respondent_id=rid,
             question_id=case.question_id,
             backend="in_sample_forest",
             raw_text="",
             parsed=parsed,
         )
-        for p, parsed in zip(answered, predict(model, answered))
+        for rid, parsed in zip(ids, predict(model, answered))
     ]
     report = compute_report(dataset, predictions, case, backend="in_sample_forest")
     return report, model

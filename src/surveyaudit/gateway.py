@@ -40,7 +40,6 @@ class BackendConfig:
     parallelism: int = 1
     rate_limit: Optional[float] = None  # requests/minute
     credential_env: str = "SURVEYAUDIT_API_KEY"
-    mock_strategy: str = "first_option"
 
     def __post_init__(self):
         if self.kind not in {"remote", "mock", "replay"}:
@@ -263,17 +262,13 @@ class MockBackend:
     """Deterministic offline backend; replies are computed locally."""
 
     def __init__(self, config: BackendConfig,
-                 reply_fn: Optional[Callable[[RenderedPrompt], str]] = None,
-                 replies_by_case: Optional[Mapping[str, str]] = None):
+                 reply_fn: Optional[Callable[[RenderedPrompt], str]] = None):
         self.config = config
         self._reply_fn = reply_fn
-        self._by_case = dict(replies_by_case or {})
 
     def complete(self, prompt: RenderedPrompt) -> str:
         if self._reply_fn is not None:
             return self._reply_fn(prompt)
-        if prompt.case_id in self._by_case:
-            return self._by_case[prompt.case_id]
         # default: first listed option, read back from the prompt text
         m = re.search(r"(?:^|\n)1\. (.+)", prompt.text)
         return m.group(1).strip() if m else ""
@@ -363,9 +358,9 @@ class RemoteChatBackend:
         raise BackendUnavailable(f"backend unreachable after retries: {last_error}")
 
 
-def build_backend(config: BackendConfig, cache: ExchangeCache, **mock_kwargs):
+def build_backend(config: BackendConfig, cache: ExchangeCache):
     if config.kind == "mock":
-        return MockBackend(config, **mock_kwargs)
+        return MockBackend(config)
     if config.kind == "replay":
         return ReplayBackend(config, cache)
     return RemoteChatBackend(config)

@@ -187,13 +187,8 @@ def fit_logit(
     design: DesignMatrix,
     max_iter: int = 100,
     tol: float = 1e-8,
-    ridge: float = 0.0,
 ) -> FitResult:
-    """Newton/IRLS maximum-likelihood fit.
-
-    ridge > 0 adds an epsilon penalty for diagnostics only; default is the
-    plain unpenalized logit.
-    """
+    """Newton/IRLS maximum-likelihood fit of the plain unpenalized logit."""
     X, y = design.X, design.y
     n, p = X.shape
     if n < p:
@@ -210,8 +205,8 @@ def fit_logit(
         eta = X @ beta
         mu = 1.0 / (1.0 + np.exp(-eta))
         w = mu * (1.0 - mu)
-        grad = X.T @ (y - mu) - ridge * beta
-        hess = X.T @ (X * w[:, None]) + ridge * np.eye(p)
+        grad = X.T @ (y - mu)
+        hess = X.T @ (X * w[:, None])
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
@@ -240,7 +235,7 @@ def fit_logit(
     eta = X @ beta
     mu = 1.0 / (1.0 + np.exp(-eta))
     w = mu * (1.0 - mu)
-    info = X.T @ (X * w[:, None]) + ridge * np.eye(p)
+    info = X.T @ (X * w[:, None])
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:

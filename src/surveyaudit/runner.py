@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -68,7 +68,6 @@ class ExperimentConfig:
     cache_path: Optional[Path] = None
     out_dir: Path = Path("out")
     config_hash: str = ""
-    raw: dict = field(default_factory=dict)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -130,14 +129,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         cache_path=resolve(raw["cache"]) if raw.get("cache") else None,
         out_dir=resolve(raw.get("output", "out")),
         config_hash=hashlib.sha256(raw_bytes).hexdigest(),
-        raw=raw,
     )
     if cfg.unparseable_policy not in {"incorrect", "exclude"}:
         raise ConfigError(f"unknown unparseable policy {cfg.unparseable_policy!r}")
     return cfg
 
 
-def _parse_mask(text: str, political: frozenset[str]) -> AblationMask:
+def _parse_mask(text: str, political: frozenset[str],
+                names: Sequence[str]) -> AblationMask:
     if text == "all":
         return AblationMask.all()
     if text == "without_political":
@@ -145,7 +144,10 @@ def _parse_mask(text: str, political: frozenset[str]) -> AblationMask:
     if text == "only_political":
         return AblationMask.only_political(political)
     if text.startswith("without:"):
-        return AblationMask.without(text.split(":", 1)[1])
+        attr = text.split(":", 1)[1]
+        if attr not in names:
+            raise ConfigError(f"mask {text!r} names unknown attribute {attr!r}")
+        return AblationMask.without(attr)
     raise ConfigError(f"unknown mask {text!r}")
 
 
@@ -192,11 +194,7 @@ def _make_backend(entry: dict, dataset: Dataset, cache: ExchangeCache,
         entry["kind"] = "replay"
         entry.pop("endpoint", None)
         kind = "replay"
-    known = {
-        "name", "kind", "model_id", "endpoint", "temperature", "max_retries",
-        "parallelism", "rate_limit", "credential_env",
-    }
-    unknown = set(entry) - known
+    unknown = set(entry) - {f.name for f in fields(BackendConfig)}
     if unknown:
         raise ConfigError(f"unknown backend fields: {sorted(unknown)}")
     config = BackendConfig(**entry)
@@ -279,10 +277,7 @@ def run_experiment(
         raise ConfigError(
             f"political set names unknown attributes: {sorted(unknown_political)}"
         )
-    for entry in cfg.regressions:
-        for attr in entry.get("main_effects") or []:
-            if attr != "all" and attr not in dataset.schema.names:
-                raise ConfigError(f"regression names unknown attribute {attr!r}")
+    specs = regression_specs(dataset, cfg)
     for a, b in cfg.equality_pairs:
         for attr in (a, b):
             if attr not in dataset.schema.names:
@@ -291,7 +286,8 @@ def run_experiment(
     if cfg.ablation:
         masks = ablation_plan(dataset.schema, political)
     else:
-        masks = [_parse_mask(m, political) for m in cfg.masks]
+        masks = [_parse_mask(m, political, dataset.schema.names)
+                 for m in cfg.masks]
     variants = [_VARIANTS[v] for v in cfg.variants]
 
     cache = ExchangeCache(cfg.cache_path)
@@ -352,7 +348,8 @@ def run_experiment(
             per_case[f"{a} x {b}"] = {"verdict": verdict, "accuracy": acc_map}
         equality[(cell.backend, cell.case_id)] = per_case
 
-    regressions = fit_regressions(dataset, cfg, primary)
+    regressions = fit_regressions(dataset, specs, primary,
+                                  cfg.unparseable_policy)
 
     manifest = {
         "config_hash": cfg.config_hash,
@@ -442,27 +439,42 @@ def primary_cells(cells: Sequence[CellResult], variant: str) -> list[CellResult]
     return [c for c in cells if c.variant == variant and c.mask_label == mask]
 
 
-def fit_regressions(dataset: Dataset, cfg: ExperimentConfig,
-                    primary: Sequence[CellResult]) -> dict[str, dict]:
-    """Fit every configured regression once per backend, on that backend's
-    pooled primary predictions; keys are ``<name>__<backend>``."""
+def regression_specs(dataset: Dataset,
+                     cfg: ExperimentConfig) -> list[ModelSpec]:
+    """The configured regressions; one that does not fit the schema raises
+    ``ConfigError``."""
+    names = dataset.schema.names
+    specs = []
+    for entry in cfg.regressions:
+        name = entry.get("name", "model")
+        mains = entry.get("main_effects") or ["all"]
+        mains = names if mains == ["all"] else tuple(mains)
+        for attr in mains:
+            if attr not in names:
+                raise ConfigError(
+                    f"regression {name!r} names unknown attribute {attr!r}")
+        interactions = tuple(tuple(i) for i in entry.get("interactions") or [])
+        try:
+            specs.append(ModelSpec(
+                mains, interactions,
+                bool(entry.get("question_fixed_effects", True)), name))
+        except ValueError as exc:
+            raise ConfigError(f"regression {name!r}: {exc}")
+    return specs
+
+
+def fit_regressions(dataset: Dataset, specs: Sequence[ModelSpec],
+                    primary: Sequence[CellResult],
+                    policy: str) -> dict[str, dict]:
+    """Fit every spec once per backend, on that backend's pooled primary
+    predictions; keys are ``<name>__<backend>``."""
     pooled: dict[str, list[Prediction]] = {}
     for c in primary:
         pooled.setdefault(c.backend, []).extend(c.predictions)
     regressions: dict[str, dict] = {}
-    for entry in cfg.regressions:
-        mains = entry.get("main_effects") or ["all"]
-        if mains == ["all"]:
-            mains = list(dataset.schema.names)
-        spec = ModelSpec(
-            main_effects=tuple(mains),
-            interactions=tuple(tuple(i) for i in entry.get("interactions") or []),
-            question_fixed_effects=bool(entry.get("question_fixed_effects", True)),
-            name=entry.get("name", "model"),
-        )
+    for spec in specs:
         for bname, predictions in pooled.items():
-            design = build_design(dataset, predictions, spec,
-                                  policy=cfg.unparseable_policy)
+            design = build_design(dataset, predictions, spec, policy=policy)
             regressions[f"{spec.name}__{bname}"] = {
                 "spec": spec, "design": design, "fit": fit_logit(design)}
     return regressions

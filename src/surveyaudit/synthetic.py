@@ -68,17 +68,19 @@ class PopulationSpec:
         for cs in self.cases:
             if len(cs.base_probs) != len(cs.options):
                 raise InvalidSpec(f"case {cs.question_id!r}: probs/options mismatch")
-            if abs(sum(cs.base_probs) - 1.0) > 1e-9:
-                raise InvalidSpec(f"case {cs.question_id!r}: probs do not sum to 1")
+            if abs(sum(cs.base_probs) - 1.0) > 1e-9 or min(cs.base_probs) < 0:
+                raise InvalidSpec(f"case {cs.question_id!r}: probs are not a distribution")
             if cs.depends_on is not None:
                 attr = self.schema.attribute(cs.depends_on)
                 if cs.table is None:
                     raise InvalidSpec(f"case {cs.question_id!r}: depends_on without table")
                 for cat in attr.categories:
                     row = cs.table.get(cat)
-                    if row is None or len(row) != len(cs.options):
+                    if (row is None or len(row) != len(cs.options)
+                            or min(row) < 0 or sum(row) <= 0):
                         raise InvalidSpec(
-                            f"case {cs.question_id!r}: table row missing for {cat!r}"
+                            f"case {cs.question_id!r}: table row for {cat!r} "
+                            f"is missing or not a set of weights"
                         )
         for key in self.correctness_beta:
             attr_name, _, cat = key.partition("=")
@@ -87,53 +89,65 @@ class PopulationSpec:
                 raise InvalidSpec(f"correctness beta names unknown dummy {key!r}")
 
 
+def _cdf(weights: Sequence[float]) -> np.ndarray:
+    """The cdf that ``Generator.choice(k, p=w / w.sum())`` searches."""
+    row = np.asarray(weights, dtype=float)
+    cdf = (row / row.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def generate(spec: PopulationSpec) -> tuple[Dataset, list[Prediction]]:
     """Draw a population and its simulated model predictions.
 
     Correct rows predict the truth; incorrect rows predict a uniformly
     chosen wrong option.  Bit-identical across runs for a fixed seed.
+
+    Each draw takes a whole column from the stream a row loop of scalar
+    ``rng.choice(k, p=p)`` and ``rng.integers(0, m)`` calls would use: a
+    scalar choice takes one ``rng.random()`` and searches its cdf.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     schema = spec.schema
     n = spec.n
 
-    # attribute draws, independent across attributes
-    values: dict[str, list[str]] = {}
+    # attribute draws, independent across attributes, as category indices
+    codes: dict[str, np.ndarray] = {}
     for attr in schema.attributes:
         probs = np.asarray(spec.marginals[attr.name], dtype=float)
-        idx = rng.choice(len(attr.categories), size=n, p=probs / probs.sum())
-        values[attr.name] = [attr.categories[i] for i in idx]
-
+        codes[attr.name] = rng.choice(len(attr.categories), size=n,
+                                      p=probs / probs.sum())
+    labels = [[attr.categories[i] for i in codes[attr.name].tolist()]
+              for attr in schema.attributes]
+    ids = [f"r{i:05d}" for i in range(n)]
+    names = schema.names
     profiles = tuple(
-        SocioProfile(
-            respondent_id=f"r{i:05d}",
-            values={a.name: values[a.name][i] for a in schema.attributes},
-        )
-        for i in range(n)
+        SocioProfile(respondent_id=rid, values=dict(zip(names, row)))
+        for rid, row in zip(ids, zip(*labels))
     )
 
     # planted correctness probability per row
     eta = np.full(n, spec.correctness_intercept, dtype=float)
     for key, beta in spec.correctness_beta.items():
         attr_name, _, cat = key.partition("=")
-        hit = np.array([1.0 if values[attr_name][i] == cat else 0.0 for i in range(n)])
-        eta += beta * hit
+        index = schema.attribute(attr_name).categories.index(cat)
+        eta += beta * (codes[attr_name] == index)
     p_correct = 1.0 / (1.0 + np.exp(-eta))
 
     cases = []
     predictions: list[Prediction] = []
     for cs in spec.cases:
         k = len(cs.options)
-        answers: dict[str, int] = {}
-        truth = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            if cs.depends_on is not None:
-                row = np.asarray(cs.table[values[cs.depends_on][i]], dtype=float)
-            else:
-                row = np.asarray(cs.base_probs, dtype=float)
-            truth[i] = rng.choice(k, p=row / row.sum())
-            answers[profiles[i].respondent_id] = int(truth[i])
+        u = rng.random(n)
+        if cs.depends_on is None:
+            truth = _cdf(cs.base_probs).searchsorted(u, side="right")
+        else:
+            truth = np.empty(n, dtype=np.intp)
+            attr = schema.attribute(cs.depends_on)
+            for j, cat in enumerate(attr.categories):
+                at = codes[attr.name] == j
+                truth[at] = _cdf(cs.table[cat]).searchsorted(u[at], side="right")
 
         correct = rng.random(n) < p_correct
         unparseable = (
@@ -141,27 +155,21 @@ def generate(spec: PopulationSpec) -> tuple[Dataset, list[Prediction]]:
             if spec.unparseable_rate > 0
             else np.zeros(n, dtype=bool)
         )
-        for i in range(n):
-            rid = profiles[i].respondent_id
-            if unparseable[i]:
-                parsed = None
-                raw = "no answer"
-            elif correct[i]:
-                parsed = int(truth[i])
-                raw = cs.options[parsed]
-            else:
-                wrong = [j for j in range(k) if j != truth[i]]
-                parsed = int(wrong[rng.integers(0, len(wrong))])
-                raw = cs.options[parsed]
-            predictions.append(
-                Prediction(
-                    respondent_id=rid,
-                    question_id=cs.question_id,
-                    backend="synthetic",
-                    raw_text=raw,
-                    parsed=parsed,
-                )
+        # a wrong row draws among the k - 1 other options, skipping the truth
+        wrong = ~unparseable & ~correct
+        s = rng.integers(0, k - 1, size=int(wrong.sum()))
+        parsed = np.where(unparseable, -1, truth)
+        parsed[wrong] = s + (s >= truth[wrong])
+        predictions.extend(
+            Prediction(
+                respondent_id=rid,
+                question_id=cs.question_id,
+                backend="synthetic",
+                raw_text=cs.options[j] if j >= 0 else "no answer",
+                parsed=j if j >= 0 else None,
             )
+            for rid, j in zip(ids, parsed.tolist())
+        )
         cases.append(
             SurveyCase(
                 question_id=cs.question_id,
@@ -169,7 +177,7 @@ def generate(spec: PopulationSpec) -> tuple[Dataset, list[Prediction]]:
                 options=cs.options,
                 country=cs.country,
                 context_blurb=cs.context_blurb,
-                answers=answers,
+                answers=dict(zip(ids, truth.tolist())),
             )
         )
 

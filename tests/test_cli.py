@@ -197,6 +197,39 @@ def test_scalar_main_effects_all(tmp_path):
         assert attr in md
 
 
+def _fails_before_any_work(tmp_path, monkeypatch, extra):
+    write_population(tmp_path)
+    cfg = write_config(tmp_path, extra=extra)
+
+    def no_forest(*args, **kwargs):
+        raise AssertionError("the forest ran before the config was checked")
+
+    monkeypatch.setattr(runner_mod.forest_mod, "baseline_metrics", no_forest)
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--offline"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException
+    assert not (tmp_path / "out").exists()
+    return result.output
+
+
+def test_unknown_mask_attribute_fails_before_any_work(tmp_path, monkeypatch):
+    output = _fails_before_any_work(
+        tmp_path, monkeypatch, 'masks: ["without:nosuch"]\n')
+    assert "Error: mask 'without:nosuch' names unknown attribute 'nosuch'" \
+        in output
+
+
+def test_interaction_outside_main_effects_fails_before_any_work(
+        tmp_path, monkeypatch):
+    output = _fails_before_any_work(tmp_path, monkeypatch, textwrap.dedent("""\
+        regressions:
+          - name: model1
+            main_effects: [gender]
+            interactions: [[gender, age]]
+    """))
+    assert "Error: regression 'model1': interaction ('gender', 'age')" in output
+
+
 def test_equality_pairs(tmp_path):
     write_population(tmp_path)
     cfg = write_config(tmp_path, extra="equality_pairs: [[gender, age]]")

@@ -116,6 +116,7 @@ def test_cache_round_trip(tmp_path):
     # reload from disk
     cache2 = ExchangeCache(tmp_path / "cache.jsonl")
     assert cache2.get(key) == "reply"
+    cache.close()
 
 
 def test_cache_skips_torn_final_line(tmp_path):
@@ -123,6 +124,7 @@ def test_cache_skips_torn_final_line(tmp_path):
     first, second = cache_key("p", "m", 0.0), cache_key("q", "m", 0.0)
     cache = ExchangeCache(path)
     cache.put(first, "p", "m", 0.0, "reply")
+    cache.close()
     whole = path.read_bytes()
     torn = json.dumps({"key": second, "raw_text": "cut"})[:20]
     path.write_bytes(whole + torn.encode())
@@ -133,6 +135,7 @@ def test_cache_skips_torn_final_line(tmp_path):
     assert len(cache) == 1
     # the next append replaces the torn line, so the file loads again whole
     cache.put(second, "q", "m", 0.0, "other")
+    cache.close()
     again = ExchangeCache(path)
     assert again.torn_tail == 0
     assert (again.get(first), again.get(second)) == ("reply", "other")
@@ -142,6 +145,7 @@ def test_cache_skips_torn_final_line(tmp_path):
     cache = ExchangeCache(path)
     assert (cache.torn_tail, cache.get(first)) == (0, "reply")
     cache.put(second, "q", "m", 0.0, "other")
+    cache.close()
     assert len(ExchangeCache(path)) == 2
 
 
@@ -149,6 +153,7 @@ def test_cache_malformed_inner_line_raises(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ExchangeCache(path)
     cache.put(cache_key("p", "m", 0.0), "p", "m", 0.0, "reply")
+    cache.close()
     good = path.read_text(encoding="utf-8")
     path.write_text('{"key": "x", "raw' + "\n" + good, encoding="utf-8")
     with pytest.raises(json.JSONDecodeError):
@@ -182,6 +187,7 @@ def test_remote_uses_cache_without_network(tmp_path, monkeypatch):
     backend = RemoteChatBackend(config, session=FakeSession())
     raw1, hit1 = complete(prompt, backend, cache)
     raw2, hit2 = complete(prompt, backend, cache)
+    cache.close()
     assert (raw1, hit1) == ("Left", False)
     assert (raw2, hit2) == ("Left", True)
     assert calls["n"] == 1
@@ -281,6 +287,7 @@ def test_run_batch_replay_determinism(tmp_path, monkeypatch):
     monkeypatch.setenv("SURVEYAUDIT_API_KEY", "k")
     remote = RemoteChatBackend(config, session=FakeSession())
     first = run_batch(prompts, {case.question_id: case.options}, remote, cache)
+    cache.close()
 
     replay = ReplayBackend(config, ExchangeCache(tmp_path / "cache.jsonl"))
     second = run_batch(prompts, {case.question_id: case.options}, replay)
