@@ -1,0 +1,319 @@
+"""The report bundle: every file a run writes, and the one reader of them.
+
+``write_bundle`` writes ``manifest.json``, ``predictions.jsonl``,
+``metrics.json`` and ``metrics.md``, ``equality.json``, ``ablation_*`` when
+more than one mask ran, ``sensitivity.*`` when more than one variant ran,
+``regression_*`` and the series under ``plots/``.  JSON is written with
+sorted keys; table cells round to 2 decimals, half away from zero, and
+model cells carry the baseline-relative ratio in parentheses.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Mapping, Optional, Sequence
+
+from .data import AttributeSchema
+from .gateway import Prediction
+from .metrics import (
+    EqualityVerdict,
+    MetricReport,
+    harmonic_mean,
+    relative_ratio,
+    round_half_away,
+)
+from .regression import summarize, to_csv_rows
+
+
+@dataclass
+class CellResult:
+    backend: str
+    case_id: str
+    variant: str
+    mask_label: str
+    report: Optional[MetricReport]
+    predictions: list[Prediction]
+
+
+@dataclass
+class ReportBundle:
+    baseline: dict[str, MetricReport]
+    cells: list[CellResult]
+    # the cells that the main table, the plots, equality and the regressions
+    # read: the first configured variant under the primary mask
+    primary: list[CellResult]
+    equality: dict
+    regressions: dict[str, dict]
+    manifest: dict
+    out_dir: Path
+
+
+def fmt2(value: Optional[float]) -> str:
+    if value is None:
+        return "-"
+    return f"{round_half_away(value, 2):.2f}"
+
+
+def cell_with_ratio(value: float, baseline: Optional[float]) -> str:
+    if baseline is None or baseline <= 0:
+        return fmt2(value)
+    return f"{fmt2(value)} ({fmt2(relative_ratio(value, baseline))})"
+
+
+def _group_name(group) -> str:
+    """A group key as written: an intersection's categories joined by " x "."""
+    return " x ".join(group) if isinstance(group, tuple) else str(group)
+
+
+def _table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    lines = ["| " + " | ".join(cells) + " |" for cells in [header, *rows]]
+    lines.insert(1, "|" + "---|" * len(header))
+    return "\n".join(lines)
+
+
+def _case_header(first: str, case_ids: Sequence[str]) -> list[str]:
+    return [first] + [f"{cid} {m}" for cid in case_ids for m in ("Acc", "JSS")]
+
+
+def metric_table_markdown(
+    case_ids: Sequence[str],
+    baseline: Mapping[str, MetricReport],
+    models: Mapping[str, Mapping[str, MetricReport]],
+) -> str:
+    """One row per backend plus the in-sample forest row; Acc and JSS
+    columns per case, ratios in parentheses."""
+    forest = ["*In-sample Random Forest*"]
+    for cid in case_ids:
+        forest += [fmt2(baseline[cid].accuracy), fmt2(baseline[cid].jss)]
+    rows = [forest]
+    for backend_name, per_case in models.items():
+        row = [backend_name]
+        for cid in case_ids:
+            rep, base = per_case[cid], baseline[cid]
+            row += [cell_with_ratio(rep.accuracy, base.accuracy),
+                    cell_with_ratio(rep.jss, base.jss)]
+        rows.append(row)
+    return _table(_case_header("Model", case_ids), rows)
+
+
+def ablation_table_markdown(
+    case_ids: Sequence[str],
+    rows: Sequence[tuple[str, Mapping[str, tuple[float, float]]]],
+) -> str:
+    """rows: (mask label, {case_id: (acc, jss)}); per-column minima bold."""
+    minima = {
+        (cid, k): min(round_half_away(cells[cid][k], 2) for _, cells in rows)
+        for cid in case_ids for k in (0, 1)
+    }
+    table = []
+    for label, cells in rows:
+        row = [label]
+        for cid in case_ids:
+            for k in (0, 1):
+                text = fmt2(cells[cid][k])
+                if round_half_away(cells[cid][k], 2) == minima[(cid, k)]:
+                    text = f"**{text}**"
+                row.append(text)
+        table.append(row)
+    return _table(_case_header("Features", case_ids), table)
+
+
+def equality_matrix_markdown(
+    attribute: str, verdict: EqualityVerdict, per_group_acc: Mapping
+) -> str:
+    table = _table(["Group", "Accuracy", "n"], [
+        [_group_name(group), fmt2(acc), str(verdict.group_sizes.get(group, "-"))]
+        for group, acc in per_group_acc.items()
+    ])
+    status = "satisfied" if verdict.satisfied else "violated"
+    return (f"### Accuracy equality: {attribute}\n\n{table}\n\n"
+            f"Max pairwise gap {verdict.max_gap:.4f} vs tolerance "
+            f"{verdict.tolerance:.4f}: **{status}**")
+
+
+def read_cells(path: str | Path) -> list[CellResult]:
+    """The cells of a ``predictions.jsonl`` written by ``write_bundle``,
+    in file order, without their reports."""
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    cells = itertools.groupby(records, key=lambda r: (
+        r["backend"], r["question_id"], r["variant"], r["mask"]))
+    return [
+        CellResult(*key, report=None, predictions=[
+            Prediction(r["respondent_id"], r["question_id"], r["backend"],
+                       r["raw_text"], r["parsed"], note=r["note"])
+            for r in group
+        ])
+        for key, group in cells
+    ]
+
+
+def write_regressions(out: Path, regressions: dict[str, dict]) -> None:
+    """``regression_<name>__<backend>.md`` and ``.csv`` per fitted model."""
+    out.mkdir(parents=True, exist_ok=True)
+    for key, bits in regressions.items():
+        table = summarize(bits["fit"], bits["spec"], bits["design"])
+        (out / f"regression_{key}.md").write_text(table + "\n", encoding="utf-8")
+        lines = ["term,estimate,se,z,p,stars"] + [
+            f"{r['term']},{r['estimate']:.10g},{r['se']:.10g},"
+            f"{r['z']:.10g},{r['p']:.10g},{r['stars']}"
+            for r in to_csv_rows(bits["fit"])
+        ]
+        (out / f"regression_{key}.csv").write_text(
+            "\n".join(lines) + "\n", encoding="utf-8"
+        )
+
+
+def _ratio(value: Optional[float], base: Optional[float]) -> Optional[float]:
+    return value / base if value is not None and base else None
+
+
+def _dump_json(path: Path, payload) -> None:
+    path.write_text(
+        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+
+
+def write_bundle(bundle: ReportBundle, schema: AttributeSchema) -> None:
+    """Write every file of the bundle under ``bundle.out_dir``."""
+    out = bundle.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = bundle.manifest
+    case_ids, variants = manifest["cases"], manifest["variants"]
+    # every (backend, variant, mask, case) ran, once
+    index = {(c.backend, c.variant, c.mask_label, c.case_id): c.report
+             for c in bundle.cells}
+
+    _dump_json(out / "manifest.json", manifest)
+
+    with (out / "predictions.jsonl").open("w", encoding="utf-8") as fh:
+        for cell in bundle.cells:
+            for p in cell.predictions:
+                rec = p.to_record()
+                rec["variant"] = cell.variant
+                rec["mask"] = cell.mask_label
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+    _dump_json(out / "metrics.json", {
+        "baseline": {cid: rep.to_dict() for cid, rep in bundle.baseline.items()},
+        "cells": [
+            {
+                "backend": c.backend,
+                "case_id": c.case_id,
+                "variant": c.variant,
+                "mask": c.mask_label,
+                "report": c.report.to_dict(),
+            }
+            for c in bundle.cells
+        ],
+    })
+
+    models: dict[str, dict[str, MetricReport]] = {}
+    for c in bundle.primary:
+        models.setdefault(c.backend, {})[c.case_id] = c.report
+    md = [
+        "# Audit report",
+        "",
+        "## Performance vs. in-sample forest ceiling",
+        "",
+        metric_table_markdown(case_ids, bundle.baseline, models),
+        "",
+        "JSS uses base-2 logarithms. Ratios in parentheses are "
+        "model/ceiling, rounded half away from zero to 2 decimals.",
+        "",
+    ]
+    for (backend, cid), per_case in bundle.equality.items():
+        md.append(f"## Accuracy equality: {backend} / {cid}")
+        md.append("")
+        for attr, info in per_case.items():
+            md.append(equality_matrix_markdown(
+                attr, info["verdict"], info["accuracy"]
+            ))
+            md.append("")
+    (out / "metrics.md").write_text("\n".join(md), encoding="utf-8")
+
+    _dump_json(out / "equality.json", {
+        f"{backend}::{cid}": {
+            attr: {
+                "satisfied": info["verdict"].satisfied,
+                "max_gap": info["verdict"].max_gap,
+                "tolerance": info["verdict"].tolerance,
+                "accuracy": {_group_name(k): v
+                             for k, v in info["accuracy"].items()},
+                "sizes": {_group_name(k): v
+                          for k, v in info["verdict"].group_sizes.items()},
+            }
+            for attr, info in per_case.items()
+        }
+        for (backend, cid), per_case in bundle.equality.items()
+    })
+
+    if len(manifest["masks"]) > 1:
+        for bname in manifest["backends"]:
+            rows = []
+            for label in manifest["masks"]:
+                reports = [index[(bname, variants[0], label, cid)]
+                           for cid in case_ids]
+                rows.append((label, {cid: (r.accuracy, r.jss)
+                                     for cid, r in zip(case_ids, reports)}))
+            table = ablation_table_markdown(case_ids, rows)
+            (out / f"ablation_{bname}.md").write_text(
+                "# Feature ablation\n\n" + table + "\n", encoding="utf-8"
+            )
+            _dump_json(out / f"ablation_{bname}.json", [
+                {"mask": label,
+                 "cells": {cid: list(vals) for cid, vals in cells_for.items()}}
+                for label, cells_for in rows
+            ])
+
+    if len(variants) > 1:
+        rows = []
+        mask = bundle.primary[0].mask_label if bundle.primary else None
+        for bname in manifest["backends"]:
+            for variant in variants:
+                vals = [index[(bname, variant, mask, cid)].accuracy
+                        for cid in case_ids]
+                if not vals or any(v <= 0 for v in vals):
+                    continue
+                rows.append((bname, variant, harmonic_mean(vals),
+                             min(vals), max(vals)))
+        table = _table(["Backend", "Variant", "Harmonic mean", "Min", "Max"], [
+            [bname, variant, fmt2(hm), fmt2(lo), fmt2(hi)]
+            for bname, variant, hm, lo, hi in rows
+        ])
+        (out / "sensitivity.md").write_text(
+            "# Prompt sensitivity\n\n" + table + "\n", encoding="utf-8")
+        _dump_json(out / "sensitivity.json", [
+            {"backend": bname, "variant": variant,
+             "harmonic_mean": hm, "min": lo, "max": hi}
+            for bname, variant, hm, lo, hi in rows
+        ])
+
+    write_regressions(out, bundle.regressions)
+
+    # per-figure plot data: group series per (backend, case, attribute)
+    plots = out / "plots"
+    plots.mkdir(exist_ok=True)
+    for c in bundle.primary:
+        base = bundle.baseline[c.case_id]
+        for attr in schema.names:
+            series = []
+            for cat in schema.attribute(attr).categories:
+                acc = c.report.per_group_accuracy[attr][cat]
+                jss_v = c.report.per_group_jss[attr][cat]
+                series.append({
+                    "group": cat,
+                    "accuracy": acc,
+                    "jss": jss_v,
+                    "relative_accuracy":
+                        _ratio(acc, base.per_group_accuracy[attr][cat]),
+                    "relative_jss": _ratio(jss_v, base.per_group_jss[attr][cat]),
+                })
+            _dump_json(
+                plots / f"{c.backend}__{c.case_id}__{attr}.json",
+                {"backend": c.backend, "case": c.case_id,
+                 "attribute": attr, "series": series},
+            )

@@ -7,6 +7,7 @@ from pathlib import Path
 import click
 
 from . import synthetic as synth_mod
+from .bundle import read_cells, write_regressions
 from .data import load_dataset, save_dataset
 from .errors import ConfigError, SurveyAuditError
 from .metrics import compute_report
@@ -15,10 +16,8 @@ from .runner import (
     fit_regressions,
     load_config,
     primary_cells,
-    read_cells,
     regression_specs,
     run_experiment,
-    write_regressions,
 )
 
 
@@ -46,14 +45,16 @@ def main():
     socio-demographic profiles, and how fairly."""
 
 
-def _common(fn):
+def _paths(fn):
     fn = click.option("--config", "config_path", required=True,
                       type=click.Path(exists=True))(fn)
-    fn = click.option("--out", default=None, type=click.Path())(fn)
+    return click.option("--out", default=None, type=click.Path())(fn)
+
+
+def _common(fn):
     fn = click.option("--offline", is_flag=True,
-                      help="Replay/mock backends only; no network.")(fn)
-    fn = click.option("--seed", default=None, type=int)(fn)
-    return fn
+                      help="Replay/mock backends only; no network.")(_paths(fn))
+    return click.option("--seed", default=None, type=int)(fn)
 
 
 @main.command()
@@ -83,11 +84,11 @@ def prompt_sweep(config_path, out, offline, seed):
 
 
 @main.command()
-@_common
+@_paths
 @click.option("--predictions", "predictions_path", required=True,
               type=click.Path(exists=True),
               help="predictions.jsonl from a previous run")
-def regress(config_path, out, offline, seed, predictions_path):
+def regress(config_path, out, predictions_path):
     """Fit the configured regressions on an existing prediction log, per
     backend, on the cells of the first configured variant under the All
     mask (the first mask when All did not run), as ``run`` does."""
@@ -100,7 +101,6 @@ def regress(config_path, out, offline, seed, predictions_path):
                               f"variant {cfg.variants[0]!r}")
         regressions = fit_regressions(dataset, regression_specs(dataset, cfg),
                                       primary, cfg.unparseable_policy)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         write_regressions(cfg.out_dir, regressions)
     except SurveyAuditError as exc:
         raise click.ClickException(str(exc))

@@ -46,6 +46,12 @@ class Attribute:
                 f"reference {self.reference!r} is not a category of {self.name!r}"
             )
 
+    @functools.cached_property
+    def index(self) -> dict[str, int]:
+        """Each category label mapped to its code, its position in
+        ``categories``."""
+        return {c: i for i, c in enumerate(self.categories)}
+
 
 @dataclass(frozen=True)
 class AttributeSchema:
@@ -117,51 +123,41 @@ class Dataset:
     schema: AttributeSchema
     profiles: tuple[SocioProfile, ...]
     cases: tuple[SurveyCase, ...]
+    coded: CodedView = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [p.respondent_id for p in self.profiles]
-        if len(set(ids)) != len(ids):
+        rows = {p.respondent_id: i for i, p in enumerate(self.profiles)}
+        if len(rows) != len(self.profiles):
             raise DuplicateRespondent("duplicate respondent ids in dataset")
-        known = set(ids)
         names = set(self.schema.names)
+        attrs = self.schema.attributes
+        codes = []
+        # each value is checked and coded in one lookup
         for p in self.profiles:
             if set(p.values) != names:
                 raise ValueError(
                     f"profile {p.respondent_id!r} does not cover the schema"
                 )
-            for attr in self.schema.attributes:
-                if p.values[attr.name] not in attr.categories:
-                    raise ValueError(
-                        f"profile {p.respondent_id!r}: {p.values[attr.name]!r} "
-                        f"not a category of {attr.name!r}"
-                    )
+            row = [a.index.get(p.values[a.name]) for a in attrs]
+            if None in row:
+                attr = attrs[row.index(None)]
+                raise ValueError(
+                    f"profile {p.respondent_id!r}: {p.values[attr.name]!r} "
+                    f"not a category of {attr.name!r}"
+                )
+            codes.append(row)
         for case in self.cases:
             for rid in case.answers:
-                if rid not in known:
+                if rid not in rows:
                     raise ValueError(
                         f"case {case.question_id!r} answers unknown respondent {rid!r}"
                     )
+        codes = np.array(codes, dtype=np.intp).reshape(len(rows), len(attrs))
+        codes.setflags(write=False)
+        object.__setattr__(self, "coded", CodedView(rows=rows, codes=codes))
 
     def profile(self, respondent_id: str) -> SocioProfile:
-        return self._by_id[respondent_id]
-
-    @functools.cached_property
-    def _by_id(self) -> dict[str, SocioProfile]:
-        return {p.respondent_id: p for p in self.profiles}
-
-    @functools.cached_property
-    def coded(self) -> CodedView:
-        attrs = self.schema.attributes
-        codes = np.array(
-            [[a.categories.index(p.values[a.name]) for a in attrs]
-             for p in self.profiles],
-            dtype=np.intp,
-        ).reshape(len(self.profiles), len(attrs))
-        codes.setflags(write=False)
-        return CodedView(
-            rows={p.respondent_id: i for i, p in enumerate(self.profiles)},
-            codes=codes,
-        )
+        return self.profiles[self.coded.rows[respondent_id]]
 
     def answered(self, case: SurveyCase
                  ) -> tuple[tuple[str, ...], Mapping[str, int]]:

@@ -34,6 +34,13 @@ class ForestParams:
     min_samples_leaf: int = 1
     max_depth: Optional[int] = None
 
+    def __post_init__(self):
+        for name in ("n_trees", "features_per_split", "min_samples_leaf",
+                     "max_depth"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
 
 def _node_dtype(n_classes: int) -> np.dtype:
     return np.dtype([("feature", np.intp), ("left", np.intp),
@@ -88,13 +95,13 @@ def _codes(schema: AttributeSchema,
     codes = np.empty((len(profiles), len(schema.attributes)), dtype=np.intp)
     for j, attr in enumerate(schema.attributes):
         for i, profile in enumerate(profiles):
-            value = profile.values.get(attr.name)
-            if value not in attr.categories:
+            code = attr.index.get(profile.values.get(attr.name))
+            if code is None:
                 raise SchemaMismatch(
                     f"profile {profile.respondent_id!r} does not match the "
                     f"training schema at attribute {attr.name!r}"
                 )
-            codes[i, j] = attr.categories.index(value)
+            codes[i, j] = code
     return codes
 
 

@@ -1,27 +1,24 @@
-"""Config-driven experiment orchestration.
-
-Reads one structured config, loads the dataset, fits the in-sample forest
-ceiling per case, renders and executes every (backend, case, variant,
-mask) cell, computes the metric battery with baseline-relative ratios,
-fits the configured regressions, and writes the report bundle.  Every
-number in the bundle is a pure function of (config, cache), so reruns are
-byte-identical.
+"""Config-driven experiment orchestration in four stages: plan checks the
+config against the dataset before the cache, the backends or the forest
+are touched; execute fits the forest ceiling per case and renders,
+dispatches and scores every (backend, case, variant, mask) cell; score
+selects the primary cells once and computes equality and the regressions
+on them; ``bundle.write_bundle`` writes.  Every number in the bundle is a
+pure function of (config, cache), so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import yaml
 
 from . import forest as forest_mod
 from . import metrics as metrics_mod
-from . import reporting
+from .bundle import CellResult, ReportBundle, write_bundle
 from .data import Dataset, SurveyCase, load_dataset
 from .errors import AllUnparseable, BackendUnavailable, ConfigError
 from .gateway import (
@@ -42,7 +39,7 @@ from .prompts import (
     render,
     sample_fewshot,
 )
-from .regression import ModelSpec, build_design, fit_logit, summarize, to_csv_rows
+from .regression import ModelSpec, build_design, fit_logit
 
 _VARIANTS = {v.value: v for v in PromptVariant}
 
@@ -185,43 +182,31 @@ def _mock_reply_fn(strategy: str, dataset: Dataset):
     raise ConfigError(f"unknown mock strategy {strategy!r}")
 
 
-def _make_backend(entry: dict, dataset: Dataset, cache: ExchangeCache,
-                  offline: bool):
+def _backend_config(entry: dict, dataset: Dataset, offline: bool
+                    ) -> tuple[BackendConfig, Optional[Callable]]:
+    """A backend entry's config, and a mock's reply function (None for the
+    first-option mock and for other kinds)."""
     entry = dict(entry)
     strategy = entry.pop("strategy", "first_option")
-    kind = entry.get("kind", "mock")
-    if offline and kind == "remote":
+    if offline and entry.get("kind") == "remote":
         entry["kind"] = "replay"
         entry.pop("endpoint", None)
-        kind = "replay"
-    unknown = set(entry) - {f.name for f in fields(BackendConfig)}
+    config = _construct(BackendConfig, entry, f"backend {entry.get('name')!r}")
+    if config.kind == "mock":
+        return config, _mock_reply_fn(strategy, dataset)
+    return config, None
+
+
+def _construct(cls, settings: dict, what: str):
+    """``cls(**settings)``; an unknown key, or a value ``cls`` rejects,
+    raises ``ConfigError`` naming ``what``."""
+    unknown = set(settings) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown backend fields: {sorted(unknown)}")
-    config = BackendConfig(**entry)
-    if kind == "mock":
-        fn = _mock_reply_fn(strategy, dataset)
-        return MockBackend(config, reply_fn=fn)
-    return build_backend(config, cache)
-
-
-@dataclass
-class CellResult:
-    backend: str
-    case_id: str
-    variant: str
-    mask_label: str
-    report: Optional[metrics_mod.MetricReport]
-    predictions: list[Prediction]
-
-
-@dataclass
-class ReportBundle:
-    baseline: dict[str, metrics_mod.MetricReport]
-    cells: list[CellResult]
-    equality: dict
-    regressions: dict[str, dict]
-    manifest: dict
-    out_dir: Path
+        raise ConfigError(f"{what}: unknown fields {sorted(unknown)}")
+    try:
+        return cls(**settings)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}")
 
 
 def _select_cases(dataset: Dataset, cfg: ExperimentConfig) -> list[SurveyCase]:
@@ -263,16 +248,28 @@ def render_case_prompts(
     return prompts
 
 
-def run_experiment(
-    cfg: ExperimentConfig, offline: bool = False,
-    seed_override: Optional[int] = None,
-) -> ReportBundle:
-    if seed_override is not None:
-        cfg.seed = seed_override
+@dataclass
+class Plan:
+    """A config checked against its dataset: what the run fits, renders
+    and scores."""
+
+    dataset: Dataset
+    cases: list[SurveyCase]
+    variants: list[PromptVariant]
+    masks: list[AblationMask]
+    backends: list[tuple[BackendConfig, Optional[Callable]]]
+    forest: forest_mod.ForestParams
+    regressions: list[ModelSpec]
+
+
+def _plan(cfg: ExperimentConfig, offline: bool) -> Plan:
+    """Every config-versus-schema check; a mistake raises ``ConfigError``
+    naming it."""
     dataset = load_dataset(cfg.csv_path, cfg.schema_path)
     cases = _select_cases(dataset, cfg)
+    names = dataset.schema.names
     political = frozenset(cfg.political)
-    unknown_political = political - set(dataset.schema.names)
+    unknown_political = political - set(names)
     if unknown_political:
         raise ConfigError(
             f"political set names unknown attributes: {sorted(unknown_political)}"
@@ -280,98 +277,116 @@ def run_experiment(
     specs = regression_specs(dataset, cfg)
     for a, b in cfg.equality_pairs:
         for attr in (a, b):
-            if attr not in dataset.schema.names:
+            if attr not in names:
                 raise ConfigError(f"equality pair names unknown attribute {attr!r}")
 
     if cfg.ablation:
         masks = ablation_plan(dataset.schema, political)
     else:
-        masks = [_parse_mask(m, political, dataset.schema.names)
-                 for m in cfg.masks]
+        masks = [_parse_mask(m, political, names) for m in cfg.masks]
     variants = [_VARIANTS[v] for v in cfg.variants]
+    if cfg.fewshot_k < 1 and any(v.uses_fewshot for v in variants):
+        raise ConfigError(
+            f"fewshot.k must be >= 1 for a few-shot variant, got {cfg.fewshot_k}")
+    backends = [_backend_config(e, dataset, offline) for e in cfg.backends]
+    # a cell is keyed by (backend, case, variant, mask), so each must be unique
+    for kind, labels in (("backend names", [c.name for c, _ in backends]),
+                         ("variants", cfg.variants),
+                         ("masks", [m.label() for m in masks])):
+        repeated = sorted({x for x in labels if labels.count(x) > 1})
+        if repeated:
+            raise ConfigError(f"duplicate {kind}: {repeated}")
+    return Plan(dataset, cases, variants, masks, backends,
+                _construct(forest_mod.ForestParams, cfg.forest_params, "forest"),
+                specs)
 
+
+def _execute(plan: Plan, cfg: ExperimentConfig
+             ) -> tuple[dict[str, metrics_mod.MetricReport], list[CellResult]]:
+    """The forest report of every case, and every cell."""
+    dataset = plan.dataset
     cache = ExchangeCache(cfg.cache_path)
-    backends = [
-        (_make_backend(entry, dataset, cache, offline), entry)
-        for entry in cfg.backends
-    ]
-
-    # forest ceiling, once per case
-    params = forest_mod.ForestParams(**cfg.forest_params) if cfg.forest_params \
-        else forest_mod.ForestParams()
-    baseline: dict[str, metrics_mod.MetricReport] = {}
-    for case in cases:
-        report, _ = forest_mod.baseline_metrics(
-            dataset, case, params, seed=cfg.forest_seed
-        )
-        baseline[case.question_id] = report
-
-    examples = {
-        case.question_id: draw_fewshot(dataset, case, cfg.fewshot_k, cfg.seed)
-        if any(v.uses_fewshot for v in variants) else None
-        for case in cases
-    }
     try:
+        backends = [
+            MockBackend(config, reply_fn=fn) if config.kind == "mock"
+            else build_backend(config, cache)
+            for config, fn in plan.backends
+        ]
+        baseline = {
+            case.question_id: forest_mod.baseline_metrics(
+                dataset, case, plan.forest, seed=cfg.forest_seed)[0]
+            for case in plan.cases
+        }
+        fewshot = any(v.uses_fewshot for v in plan.variants)
+        examples = {
+            case.question_id: draw_fewshot(dataset, case, cfg.fewshot_k, cfg.seed)
+            if fewshot else None
+            for case in plan.cases
+        }
         cells = [
             _run_cell(dataset, cfg, backend, cache, case, variant, mask,
                       examples[case.question_id], baseline[case.question_id])
-            for backend, _ in backends
-            for case in cases
-            for variant in variants
-            for mask in masks
+            for backend in backends
+            for case in plan.cases
+            for variant in plan.variants
+            for mask in plan.masks
         ]
     finally:
         cache.close()
+    return baseline, cells
 
-    # accuracy equality, single attributes and configured intersections,
-    # evaluated on the primary cells
+
+def _score(plan: Plan, cfg: ExperimentConfig, cells: Sequence[CellResult]
+           ) -> tuple[list[CellResult], dict, dict[str, dict]]:
+    """The primary cells, their accuracy-equality verdicts over single
+    attributes and the configured intersections, and the regressions."""
+    dataset = plan.dataset
+    primary = primary_cells(cells, plan.variants[0].value)
     equality: dict = {}
-    primary = primary_cells(cells, variants[0].value)
     for cell in primary:
         case = dataset.case(cell.case_id)
-        per_case: dict = {}
-        for attr in dataset.schema.names:
-            acc_map = cell.report.per_group_accuracy[attr]
-            verdict = metrics_mod.overall_accuracy_equality(
-                acc_map, cfg.equality_tolerance,
-                group_sizes=cell.report.group_sizes[attr],
-            )
-            per_case[attr] = {"verdict": verdict, "accuracy": acc_map}
-        for a, b in cfg.equality_pairs:
-            acc_map, sizes = intersection_accuracy(
-                dataset, cell.predictions, case, a, b,
-                policy=cfg.unparseable_policy,
-            )
-            verdict = metrics_mod.overall_accuracy_equality(
-                acc_map, cfg.equality_tolerance, group_sizes=sizes
-            )
-            per_case[f"{a} x {b}"] = {"verdict": verdict, "accuracy": acc_map}
-        equality[(cell.backend, cell.case_id)] = per_case
-
-    regressions = fit_regressions(dataset, specs, primary,
+        groups = [(attr, cell.report.per_group_accuracy[attr],
+                   cell.report.group_sizes[attr])
+                  for attr in dataset.schema.names]
+        groups += [(f"{a} x {b}", *intersection_accuracy(
+            dataset, cell.predictions, case, a, b,
+            policy=cfg.unparseable_policy)) for a, b in cfg.equality_pairs]
+        equality[(cell.backend, cell.case_id)] = {
+            label: {"verdict": metrics_mod.overall_accuracy_equality(
+                        acc_map, cfg.equality_tolerance, group_sizes=sizes),
+                    "accuracy": acc_map}
+            for label, acc_map, sizes in groups
+        }
+    regressions = fit_regressions(dataset, plan.regressions, primary,
                                   cfg.unparseable_policy)
+    return primary, equality, regressions
 
+
+def run_experiment(
+    cfg: ExperimentConfig, offline: bool = False,
+    seed_override: Optional[int] = None,
+) -> ReportBundle:
+    """Plan, execute, score and write one audit."""
+    if seed_override is not None:
+        cfg.seed = seed_override
+    plan = _plan(cfg, offline)
+    baseline, cells = _execute(plan, cfg)
+    primary, equality, regressions = _score(plan, cfg, cells)
     manifest = {
         "config_hash": cfg.config_hash,
         "seed": cfg.seed,
         "forest_seed": cfg.forest_seed,
-        "cases": [c.question_id for c in cases],
-        "backends": [b.config.name for b, _ in backends],
-        "variants": [v.value for v in variants],
-        "masks": [m.label() for m in masks],
+        "cases": [c.question_id for c in plan.cases],
+        "backends": [config.name for config, _ in plan.backends],
+        "variants": [v.value for v in plan.variants],
+        "masks": [m.label() for m in plan.masks],
         "fewshot_k": cfg.fewshot_k,
         "unparseable_policy": cfg.unparseable_policy,
         "n_predictions": sum(len(c.predictions) for c in cells),
     }
-    bundle = ReportBundle(
-        baseline=baseline,
-        cells=cells,
-        equality=equality,
-        regressions=regressions,
-        manifest=manifest,
-        out_dir=cfg.out_dir,
-    )
-    write_bundle(bundle, cfg, dataset, cases)
+    bundle = ReportBundle(baseline, cells, primary, equality, regressions,
+                          manifest, cfg.out_dir)
+    write_bundle(bundle, plan.dataset.schema)
     return bundle
 
 
@@ -407,35 +422,23 @@ def _run_cell(dataset: Dataset, cfg: ExperimentConfig, backend,
         report = metrics_mod.unparsed_report(
             dataset, predictions, case, backend=bname)
     report.relative = {
-        "accuracy": metrics_mod.relative_ratio(
-            report.accuracy, base.accuracy
-        ) if base.accuracy > 0 else None,
-        "jss": metrics_mod.relative_ratio(report.jss, base.jss)
-        if base.jss > 0 else None,
+        m: metrics_mod.relative_ratio(getattr(report, m), getattr(base, m))
+        if getattr(base, m) > 0 else None
+        for m in ("accuracy", "jss")
     }
-    return CellResult(
-        backend=bname,
-        case_id=case.question_id,
-        variant=variant.value,
-        mask_label=mask.label(),
-        report=report,
-        predictions=predictions,
-    )
-
-
-def _primary_mask(cells: Sequence[CellResult]) -> Optional[str]:
-    """The mask of the primary cells: All when it ran, else the first
-    configured mask, which is the mask of the first cell."""
-    if any(c.mask_label == "All" for c in cells):
-        return "All"
-    return cells[0].mask_label if cells else None
+    return CellResult(bname, case.question_id, variant.value, mask.label(),
+                      report, predictions)
 
 
 def primary_cells(cells: Sequence[CellResult], variant: str) -> list[CellResult]:
     """The cells that the main table, the plots, equality and the
-    regressions read: the given (first configured) variant under the
-    primary mask."""
-    mask = _primary_mask(cells)
+    regressions read: the given (first configured) variant under the All
+    mask when it ran, else under the first configured mask, which is the
+    mask of the first cell."""
+    if not cells:
+        return []
+    mask = ("All" if any(c.mask_label == "All" for c in cells)
+            else cells[0].mask_label)
     return [c for c in cells if c.variant == variant and c.mask_label == mask]
 
 
@@ -478,205 +481,3 @@ def fit_regressions(dataset: Dataset, specs: Sequence[ModelSpec],
             regressions[f"{spec.name}__{bname}"] = {
                 "spec": spec, "design": design, "fit": fit_logit(design)}
     return regressions
-
-
-def read_cells(path: str | Path) -> list[CellResult]:
-    """The cells of a ``predictions.jsonl`` written by ``write_bundle``,
-    in file order, without their reports."""
-    with open(path, encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
-    cells = itertools.groupby(records, key=lambda r: (
-        r["backend"], r["question_id"], r["variant"], r["mask"]))
-    return [
-        CellResult(*key, report=None, predictions=[
-            Prediction(r["respondent_id"], r["question_id"], r["backend"],
-                       r["raw_text"], r["parsed"], note=r["note"])
-            for r in group
-        ])
-        for key, group in cells
-    ]
-
-
-def write_regressions(out: Path, regressions: dict[str, dict]) -> None:
-    """``regression_<name>__<backend>.md`` and ``.csv`` per fitted model."""
-    for key, bits in regressions.items():
-        table = summarize(bits["fit"], bits["spec"], bits["design"])
-        (out / f"regression_{key}.md").write_text(table + "\n", encoding="utf-8")
-        rows = to_csv_rows(bits["fit"])
-        lines = ["term,estimate,se,z,p,stars"]
-        for r in rows:
-            lines.append(
-                f"{r['term']},{r['estimate']:.10g},{r['se']:.10g},"
-                f"{r['z']:.10g},{r['p']:.10g},{r['stars']}"
-            )
-        (out / f"regression_{key}.csv").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
-
-
-def _dump_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def write_bundle(bundle: ReportBundle, cfg: ExperimentConfig,
-                 dataset: Dataset, cases: Sequence[SurveyCase]) -> None:
-    out = bundle.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    case_ids = [c.question_id for c in cases]
-
-    _dump_json(out / "manifest.json", bundle.manifest)
-
-    with (out / "predictions.jsonl").open("w", encoding="utf-8") as fh:
-        for cell in bundle.cells:
-            for p in cell.predictions:
-                rec = p.to_record()
-                rec["variant"] = cell.variant
-                rec["mask"] = cell.mask_label
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-    metrics_payload = {
-        "baseline": {cid: rep.to_dict() for cid, rep in bundle.baseline.items()},
-        "cells": [
-            {
-                "backend": c.backend,
-                "case_id": c.case_id,
-                "variant": c.variant,
-                "mask": c.mask_label,
-                "report": c.report.to_dict(),
-            }
-            for c in bundle.cells
-        ],
-    }
-    _dump_json(out / "metrics.json", metrics_payload)
-
-    # Markdown main table: the primary cells
-    default_variant = bundle.manifest["variants"][0]
-    primary = primary_cells(bundle.cells, default_variant)
-    models: dict[str, dict[str, metrics_mod.MetricReport]] = {}
-    for c in primary:
-        models.setdefault(c.backend, {})[c.case_id] = c.report
-    md = [
-        "# Audit report",
-        "",
-        "## Performance vs. in-sample forest ceiling",
-        "",
-        reporting.metric_table_markdown(case_ids, bundle.baseline, models),
-        "",
-        "JSS uses base-2 logarithms. Ratios in parentheses are "
-        "model/ceiling, rounded half away from zero to 2 decimals.",
-        "",
-    ]
-
-    # equality sections
-    for (backend, cid), per_case in bundle.equality.items():
-        md.append(f"## Accuracy equality: {backend} / {cid}")
-        md.append("")
-        for attr, info in per_case.items():
-            md.append(reporting.equality_matrix_markdown(
-                attr, info["verdict"], info["accuracy"]
-            ))
-            md.append("")
-    (out / "metrics.md").write_text("\n".join(md), encoding="utf-8")
-
-    equality_payload = {}
-    for (backend, cid), per_case in bundle.equality.items():
-        equality_payload[f"{backend}::{cid}"] = {
-            attr: {
-                "satisfied": info["verdict"].satisfied,
-                "max_gap": info["verdict"].max_gap,
-                "tolerance": info["verdict"].tolerance,
-                "accuracy": {
-                    (" x ".join(k) if isinstance(k, tuple) else k): v
-                    for k, v in info["accuracy"].items()
-                },
-                "sizes": {
-                    (" x ".join(k) if isinstance(k, tuple) else k): v
-                    for k, v in info["verdict"].group_sizes.items()
-                },
-            }
-            for attr, info in per_case.items()
-        }
-    _dump_json(out / "equality.json", equality_payload)
-
-    # ablation table when more than one mask ran
-    mask_labels = bundle.manifest["masks"]
-    if len(mask_labels) > 1:
-        for bname in bundle.manifest["backends"]:
-            rows = []
-            for label in mask_labels:
-                cells_for = {
-                    c.case_id: (c.report.accuracy, c.report.jss)
-                    for c in bundle.cells
-                    if c.backend == bname and c.mask_label == label
-                    and c.variant == default_variant
-                }
-                rows.append((label, cells_for))
-            table = reporting.ablation_table_markdown(case_ids, rows)
-            (out / f"ablation_{bname}.md").write_text(
-                "# Feature ablation\n\n" + table + "\n", encoding="utf-8"
-            )
-            _dump_json(out / f"ablation_{bname}.json", [
-                {"mask": label,
-                 "cells": {cid: list(vals) for cid, vals in cells_for.items()}}
-                for label, cells_for in rows
-            ])
-
-    # prompt-sensitivity summary when more than one variant ran
-    variants = bundle.manifest["variants"]
-    if len(variants) > 1:
-        rows = []
-        payload = []
-        mask = _primary_mask(bundle.cells)
-        for bname in bundle.manifest["backends"]:
-            for variant in variants:
-                vals = [
-                    c.report.accuracy for c in bundle.cells
-                    if c.backend == bname and c.variant == variant
-                    and c.mask_label == mask
-                ]
-                if not vals or any(v <= 0 for v in vals):
-                    continue
-                hm = metrics_mod.harmonic_mean(vals)
-                rows.append((bname, variant, hm, min(vals), max(vals)))
-                payload.append({
-                    "backend": bname, "variant": variant,
-                    "harmonic_mean": hm, "min": min(vals), "max": max(vals),
-                })
-        (out / "sensitivity.md").write_text(
-            "# Prompt sensitivity\n\n" + reporting.sensitivity_markdown(rows)
-            + "\n", encoding="utf-8"
-        )
-        _dump_json(out / "sensitivity.json", payload)
-
-    write_regressions(out, bundle.regressions)
-
-    # per-figure plot data: group series per (backend, case, attribute)
-    plots = out / "plots"
-    plots.mkdir(exist_ok=True)
-    for c in primary:
-        base = bundle.baseline[c.case_id]
-        for attr in dataset.schema.names:
-            series = []
-            for cat in dataset.schema.attribute(attr).categories:
-                acc = c.report.per_group_accuracy[attr][cat]
-                jss_v = c.report.per_group_jss[attr][cat]
-                b_acc = base.per_group_accuracy[attr][cat]
-                b_jss = base.per_group_jss[attr][cat]
-                series.append({
-                    "group": cat,
-                    "accuracy": acc,
-                    "jss": jss_v,
-                    "relative_accuracy": (
-                        acc / b_acc if acc is not None and b_acc else None
-                    ),
-                    "relative_jss": (
-                        jss_v / b_jss if jss_v is not None and b_jss else None
-                    ),
-                })
-            _dump_json(
-                plots / f"{c.backend}__{c.case_id}__{attr}.json",
-                {"backend": c.backend, "case": c.case_id,
-                 "attribute": attr, "series": series},
-            )

@@ -230,6 +230,66 @@ def test_interaction_outside_main_effects_fails_before_any_work(
     assert "Error: regression 'model1': interaction ('gender', 'age')" in output
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("forest: {n_tree: 5}\n", "Error: forest: unknown fields ['n_tree']"),
+    ("forest: {n_trees: 0}\n", "Error: forest: n_trees must be >= 1, got 0"),
+    ("forest: {min_samples_leaf: 0}\n",
+     "Error: forest: min_samples_leaf must be >= 1, got 0"),
+    ("forest: {max_depth: 0}\n", "Error: forest: max_depth must be >= 1, got 0"),
+    ("forest: {features_per_split: -1}\n",
+     "Error: forest: features_per_split must be >= 1, got -1"),
+    ("backends:\n  - {name: maj, kind: mock, strategy: majority}\n"
+     "  - {name: maj, kind: mock}\n", "Error: duplicate backend names: ['maj']"),
+    ("backends:\n  - {name: b, kind: nosuch}\n",
+     "Error: backend 'b': unknown backend kind 'nosuch'"),
+    ("variants: [original]\nfewshot: {k: 0}\n",
+     "Error: fewshot.k must be >= 1 for a few-shot variant, got 0"),
+    ("variants: [zeroshot, original]\nfewshot: {k: -2}\n",
+     "Error: fewshot.k must be >= 1 for a few-shot variant, got -2"),
+    ("variants: [zeroshot, zeroshot]\n", "Error: duplicate variants: ['zeroshot']"),
+    ("masks: [all, without_political, all]\n", "Error: duplicate masks: ['All']"),
+], ids=["forest_key", "n_trees", "min_samples_leaf", "max_depth",
+        "features_per_split", "backend_name", "backend_kind", "fewshot_k_0",
+        "fewshot_k_negative", "variant", "mask"])
+def test_config_mistake_fails_before_any_work(tmp_path, monkeypatch, extra,
+                                              message):
+    # a key repeated in ``extra`` overrides write_config's, as YAML loads it
+    assert message in _fails_before_any_work(tmp_path, monkeypatch, extra)
+
+
+# The names perfbench's tracer wraps on runner: each must stay a global of
+# runner that a run calls.
+TRACED = ("load_dataset", "render_case_prompts", "sample_fewshot", "render",
+          "run_batch", "ExchangeCache", "intersection_accuracy",
+          "build_design", "fit_logit", "write_bundle")
+
+
+def test_run_calls_the_traced_names(tmp_path, monkeypatch):
+    calls = []
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in TRACED:
+        count(runner_mod, name)
+    count(runner_mod.forest_mod, "baseline_metrics")
+    write_population(tmp_path)
+    cfg = write_config(tmp_path, extra=textwrap.dedent("""\
+        variants: [original]
+        equality_pairs: [[gender, age]]
+        regressions:
+          - {name: model1, main_effects: [gender]}
+    """))
+    run_experiment(load_config(cfg), offline=True)
+    assert set(calls) == {*TRACED, "baseline_metrics"}
+
+
 def test_equality_pairs(tmp_path):
     write_population(tmp_path)
     cfg = write_config(tmp_path, extra="equality_pairs: [[gender, age]]")
@@ -338,6 +398,18 @@ def test_regress_reproduces_run_regressions(tmp_path):
     ])
     assert result.exit_code != 0
     assert "no predictions of variant 'spanish'" in result.output
+
+
+@pytest.mark.parametrize("option", [["--offline"], ["--seed", "1"]])
+def test_regress_takes_no_run_options(tmp_path, option):
+    write_population(tmp_path)
+    cfg = write_config(tmp_path)
+    (tmp_path / "predictions.jsonl").write_text("")
+    result = CliRunner().invoke(main, [
+        "regress", "--config", str(cfg),
+        "--predictions", str(tmp_path / "predictions.jsonl"), *option])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and option[0] in result.output
 
 
 def test_primary_cells_without_all_mask(tmp_path, monkeypatch):
