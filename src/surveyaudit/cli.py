@@ -16,6 +16,7 @@ from .runner import (
     fit_regressions,
     load_config,
     primary_cells,
+    refuse_failures,
     regression_specs,
     run_experiment,
 )
@@ -32,8 +33,10 @@ def _audit(config_path, out, offline, seed, done, adjust=lambda cfg: None):
     """Load the config, let the command adjust it, run, and report."""
     try:
         cfg = _load(config_path, out)
+        if seed is not None:
+            cfg.seed = seed
         adjust(cfg)
-        bundle = run_experiment(cfg, offline=offline, seed_override=seed)
+        bundle = run_experiment(cfg, offline=offline)
     except SurveyAuditError as exc:
         raise click.ClickException(str(exc))
     click.echo(f"{done} {bundle.out_dir}")
@@ -51,10 +54,13 @@ def _paths(fn):
     return click.option("--out", default=None, type=click.Path())(fn)
 
 
+def _seeded(fn):
+    return click.option("--seed", default=None, type=int)(_paths(fn))
+
+
 def _common(fn):
-    fn = click.option("--offline", is_flag=True,
-                      help="Replay/mock backends only; no network.")(_paths(fn))
-    return click.option("--seed", default=None, type=int)(fn)
+    return click.option("--offline", is_flag=True,
+                        help="Replay/mock backends only; no network.")(_seeded(fn))
 
 
 @main.command()
@@ -91,7 +97,9 @@ def prompt_sweep(config_path, out, offline, seed):
 def regress(config_path, out, predictions_path):
     """Fit the configured regressions on an existing prediction log, per
     backend, on the cells of the first configured variant under the All
-    mask (the first mask when All did not run), as ``run`` does."""
+    mask (the first mask when All did not run), as ``run`` does.  A log
+    whose primary cells hold a backend failure is refused, as ``run``
+    refuses the failure."""
     try:
         cfg = _load(config_path, out)
         dataset = load_dataset(cfg.csv_path, cfg.schema_path)
@@ -99,6 +107,9 @@ def regress(config_path, out, predictions_path):
         if not primary:
             raise ConfigError(f"{predictions_path} has no predictions of "
                               f"variant {cfg.variants[0]!r}")
+        for c in primary:
+            refuse_failures(c.backend, c.case_id, c.variant, c.mask_label,
+                            c.predictions)
         regressions = fit_regressions(dataset, regression_specs(dataset, cfg),
                                       primary, cfg.unparseable_policy)
         write_regressions(cfg.out_dir, regressions)
@@ -187,8 +198,8 @@ def _population_spec_from(section: dict) -> "synth_mod.PopulationSpec":
 
 
 @main.command()
-@_common
-def report(config_path, out, offline, seed):
+@_seeded
+def report(config_path, out, seed):
     """Re-render the report bundle from cached predictions (no backend calls)."""
     _audit(config_path, out, True, seed, "bundle re-rendered to")
 

@@ -63,6 +63,12 @@ class Prediction:
     cache_hit: bool = False
     note: str = ""
 
+    @property
+    def failed(self) -> bool:
+        """Whether the backend raised instead of replying: ``run_batch``
+        notes a prediction only then."""
+        return bool(self.note)
+
     def to_record(self) -> dict:
         """Stable serialized form (volatile fields dropped so that reruns
         of a deterministic backend produce byte-identical audit logs)."""
@@ -358,9 +364,12 @@ class RemoteChatBackend:
         raise BackendUnavailable(f"backend unreachable after retries: {last_error}")
 
 
-def build_backend(config: BackendConfig, cache: ExchangeCache):
+def build_backend(config: BackendConfig, cache: ExchangeCache,
+                  reply_fn: Optional[Callable[[RenderedPrompt], str]] = None):
+    """The backend of ``config``; ``reply_fn`` is a mock's reply function
+    (None for the first-option mock)."""
     if config.kind == "mock":
-        return MockBackend(config)
+        return MockBackend(config, reply_fn)
     if config.kind == "replay":
         return ReplayBackend(config, cache)
     return RemoteChatBackend(config)
@@ -400,8 +409,9 @@ def run_batch(
     """Execute a batch, output order-aligned with the input.
 
     Concurrency is bounded by the backend's configured parallelism.
-    Per-prompt failures become unparseable predictions with a note; only
-    configuration-level errors abort the batch.
+    Per-prompt failures become unparseable predictions with a note, which
+    ``Prediction.failed`` reads; only configuration-level errors abort the
+    batch.
     """
     config: BackendConfig = backend.config
     results: list[Optional[Prediction]] = [None] * len(prompts)

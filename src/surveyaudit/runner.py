@@ -10,7 +10,7 @@ pure function of (config, cache), so reruns are byte-identical.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -20,15 +20,9 @@ from . import forest as forest_mod
 from . import metrics as metrics_mod
 from .bundle import CellResult, ReportBundle, write_bundle
 from .data import Dataset, SurveyCase, load_dataset
-from .errors import AllUnparseable, BackendUnavailable, ConfigError
-from .gateway import (
-    BackendConfig,
-    ExchangeCache,
-    MockBackend,
-    Prediction,
-    build_backend,
-    run_batch,
-)
+from .errors import BackendUnavailable, ConfigError
+from .gateway import (BackendConfig, ExchangeCache, Prediction, build_backend,
+                      run_batch)
 from .metrics import intersection_accuracy
 from .prompts import (
     DEFAULT_FEWSHOT_K,
@@ -187,19 +181,26 @@ def _backend_config(entry: dict, dataset: Dataset, offline: bool
     """A backend entry's config, and a mock's reply function (None for the
     first-option mock and for other kinds)."""
     entry = dict(entry)
-    strategy = entry.pop("strategy", "first_option")
+    strategy = entry.pop("strategy", None)
+    what = f"backend {entry.get('name')!r}"
     if offline and entry.get("kind") == "remote":
         entry["kind"] = "replay"
         entry.pop("endpoint", None)
-    config = _construct(BackendConfig, entry, f"backend {entry.get('name')!r}")
+    config = _construct(BackendConfig, entry, what)
     if config.kind == "mock":
-        return config, _mock_reply_fn(strategy, dataset)
+        return config, _mock_reply_fn(strategy or "first_option", dataset)
+    if strategy is not None:
+        raise ConfigError(f"{what}: strategy applies only to mock backends")
     return config, None
 
 
 def _construct(cls, settings: dict, what: str):
-    """``cls(**settings)``; an unknown key, or a value ``cls`` rejects,
-    raises ``ConfigError`` naming ``what``."""
+    """``cls(**settings)``; a missing field without a default, an unknown
+    key, or a value ``cls`` rejects, raises ``ConfigError`` naming ``what``."""
+    missing = [f.name for f in fields(cls) if f.name not in settings
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{what}: missing fields {missing}")
     unknown = set(settings) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{what}: unknown fields {sorted(unknown)}")
@@ -285,9 +286,24 @@ def _plan(cfg: ExperimentConfig, offline: bool) -> Plan:
     else:
         masks = [_parse_mask(m, political, names) for m in cfg.masks]
     variants = [_VARIANTS[v] for v in cfg.variants]
-    if cfg.fewshot_k < 1 and any(v.uses_fewshot for v in variants):
-        raise ConfigError(
-            f"fewshot.k must be >= 1 for a few-shot variant, got {cfg.fewshot_k}")
+    if any(v.uses_fewshot for v in variants):
+        if cfg.fewshot_k < 1:
+            raise ConfigError(f"fewshot.k must be >= 1 for a few-shot "
+                              f"variant, got {cfg.fewshot_k}")
+        for case in cases:
+            # the examples of a respondent are the other answered respondents
+            answered = len(dataset.answered(case)[0])
+            if answered and cfg.fewshot_k > answered - 1:
+                raise ConfigError(
+                    f"fewshot.k is {cfg.fewshot_k}, but case {case.question_id!r} "
+                    f"has only {answered - 1} eligible examples per respondent "
+                    f"({answered} answered respondents)")
+    if PromptVariant.WITH_CONTEXT in variants:
+        bare = [c.question_id for c in cases if not c.context_blurb]
+        if bare:
+            raise ConfigError(
+                f"variant with_context needs a context blurb, which "
+                f"{len(bare)} of {len(cases)} cases lack: {bare}")
     backends = [_backend_config(e, dataset, offline) for e in cfg.backends]
     # a cell is keyed by (backend, case, variant, mask), so each must be unique
     for kind, labels in (("backend names", [c.name for c, _ in backends]),
@@ -307,11 +323,8 @@ def _execute(plan: Plan, cfg: ExperimentConfig
     dataset = plan.dataset
     cache = ExchangeCache(cfg.cache_path)
     try:
-        backends = [
-            MockBackend(config, reply_fn=fn) if config.kind == "mock"
-            else build_backend(config, cache)
-            for config, fn in plan.backends
-        ]
+        backends = [build_backend(config, cache, fn)
+                    for config, fn in plan.backends]
         baseline = {
             case.question_id: forest_mod.baseline_metrics(
                 dataset, case, plan.forest, seed=cfg.forest_seed)[0]
@@ -362,13 +375,8 @@ def _score(plan: Plan, cfg: ExperimentConfig, cells: Sequence[CellResult]
     return primary, equality, regressions
 
 
-def run_experiment(
-    cfg: ExperimentConfig, offline: bool = False,
-    seed_override: Optional[int] = None,
-) -> ReportBundle:
+def run_experiment(cfg: ExperimentConfig, offline: bool = False) -> ReportBundle:
     """Plan, execute, score and write one audit."""
-    if seed_override is not None:
-        cfg.seed = seed_override
     plan = _plan(cfg, offline)
     baseline, cells = _execute(plan, cfg)
     primary, equality, regressions = _score(plan, cfg, cells)
@@ -400,27 +408,19 @@ def _run_cell(dataset: Dataset, cfg: ExperimentConfig, backend,
     prompts = render_case_prompts(dataset, case, variant, mask, examples)
     predictions = run_batch(prompts, {case.question_id: case.options},
                             backend, cache)
-    failed = [p.note for p in predictions if p.note]
-    if predictions and len(failed) == len(predictions):
-        raise BackendUnavailable(
-            f"backend {bname!r} gave no parsed reply for case "
-            f"{case.question_id!r} ({variant.value}, {mask.label()}): "
-            f"{len(failed)} of {len(predictions)} prompts failed: "
-            f"{failed[0]}")
-    try:
+    refuse_failures(bname, case.question_id, variant.value, mask.label(),
+                    predictions)
+    if (cfg.unparseable_policy == metrics_mod.POLICY_INCORRECT
+            and all(p.parsed is None for p in predictions)):
+        # replies that all fail to parse are scored; under 'exclude'
+        # compute_report finds nothing to score and stops the run
+        report = metrics_mod.unparsed_report(
+            dataset, predictions, case, backend=bname)
+    else:
         report = metrics_mod.compute_report(
             dataset, predictions, case, backend=bname,
             policy=cfg.unparseable_policy,
         )
-    except AllUnparseable:
-        # replies that all fail to parse are scored; a cell with backend
-        # failures, or nothing left to score under 'exclude', still aborts
-        # the run
-        if (cfg.unparseable_policy != metrics_mod.POLICY_INCORRECT
-                or any(p.note for p in predictions)):
-            raise
-        report = metrics_mod.unparsed_report(
-            dataset, predictions, case, backend=bname)
     report.relative = {
         m: metrics_mod.relative_ratio(getattr(report, m), getattr(base, m))
         if getattr(base, m) > 0 else None
@@ -428,6 +428,21 @@ def _run_cell(dataset: Dataset, cfg: ExperimentConfig, backend,
     }
     return CellResult(bname, case.question_id, variant.value, mask.label(),
                       report, predictions)
+
+
+def refuse_failures(backend: str, case_id: str, variant: str, mask: str,
+                    predictions: Sequence[Prediction]) -> None:
+    """Raise ``BackendUnavailable`` when the backend failed on any prompt of
+    the cell, naming the cell, the failed count and the first failure: no
+    failure is scored."""
+    failed = [p.note for p in predictions if p.failed]
+    if failed:
+        outcome = ("gave no parsed reply for" if len(failed) == len(predictions)
+                   else "failed on")
+        raise BackendUnavailable(
+            f"backend {backend!r} {outcome} case {case_id!r} ({variant}, "
+            f"{mask}): {len(failed)} of {len(predictions)} prompts failed: "
+            f"{failed[0]}")
 
 
 def primary_cells(cells: Sequence[CellResult], variant: str) -> list[CellResult]:

@@ -248,9 +248,22 @@ def test_interaction_outside_main_effects_fails_before_any_work(
      "Error: fewshot.k must be >= 1 for a few-shot variant, got -2"),
     ("variants: [zeroshot, zeroshot]\n", "Error: duplicate variants: ['zeroshot']"),
     ("masks: [all, without_political, all]\n", "Error: duplicate masks: ['All']"),
+    ("variants: [original]\nfewshot: {k: 500}\n",
+     "Error: fewshot.k is 500, but case 'vote' has only 119 eligible examples "
+     "per respondent (120 answered respondents)"),
+    ("variants: [with_context]\n",
+     "Error: variant with_context needs a context blurb, which 1 of 1 cases "
+     "lack: ['vote']"),
+    ("backends:\n  - {name: m, strategy: majority}\n",
+     "Error: backend 'm': missing fields ['kind']"),
+    ("backends:\n  - {name: r, kind: remote, strategy: majority,\n"
+     "     endpoint: 'http://example.invalid/v1'}\n",
+     "Error: backend 'r': strategy applies only to mock backends"),
 ], ids=["forest_key", "n_trees", "min_samples_leaf", "max_depth",
         "features_per_split", "backend_name", "backend_kind", "fewshot_k_0",
-        "fewshot_k_negative", "variant", "mask"])
+        "fewshot_k_negative", "variant", "mask", "fewshot_k_above_eligible",
+        "with_context_without_blurb", "backend_without_kind",
+        "strategy_on_remote"])
 def test_config_mistake_fails_before_any_work(tmp_path, monkeypatch, extra,
                                               message):
     # a key repeated in ``extra`` overrides write_config's, as YAML loads it
@@ -359,6 +372,66 @@ def test_backend_failure_names_the_cause(tmp_path):
             "replay cache has no entry") in result.output
 
 
+def test_partial_backend_failure_stops_the_run(tmp_path, monkeypatch):
+    """One failed prompt in ten stops the run instead of being scored as a
+    wrong answer."""
+    def flaky_reply_fn(strategy, dataset):
+        position = dataset.coded.rows
+
+        def reply(prompt):
+            if position[prompt.target_id] % 10 == 9:
+                raise TimeoutError("endpoint timed out")
+            return "OptA"
+
+        return reply
+
+    monkeypatch.setattr(runner_mod, "_mock_reply_fn", flaky_reply_fn)
+    write_population(tmp_path)
+    cfg = write_config(tmp_path)
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--offline"])
+    assert result.exit_code == 1
+    assert ("backend 'mock' failed on case 'vote' (zeroshot, All): "
+            "12 of 120 prompts failed: backend failure: endpoint timed out"
+            ) in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_exclude_with_no_parsed_reply_stops_the_run(tmp_path):
+    write_population(tmp_path)
+    cfg = write_config(
+        tmp_path, extra="unparseable: exclude\n",
+        backends="  - {name: mock, kind: mock, strategy: unparseable}")
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--offline"])
+    assert result.exit_code == 1
+    assert "every prediction is unparseable under 'exclude'" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_regress_refuses_a_log_with_a_backend_failure(tmp_path):
+    write_population(tmp_path)
+    cfg = write_config(tmp_path, extra=textwrap.dedent("""\
+        regressions:
+          - {name: model1, main_effects: [gender]}
+    """))
+    runner = CliRunner()
+    assert runner.invoke(main, ["run", "--config", str(cfg),
+                                "--offline"]).exit_code == 0
+    log = tmp_path / "out" / "predictions.jsonl"
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    # older versions scored failures, so their logs can hold one
+    records[5].update(raw_text="", parsed=None,
+                      note="backend failure: endpoint timed out")
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    result = runner.invoke(main, [
+        "regress", "--config", str(cfg), "--out", str(tmp_path / "refit"),
+        "--predictions", str(log)])
+    assert result.exit_code == 1
+    assert ("backend 'mock' failed on case 'vote' (zeroshot, All): "
+            "1 of 120 prompts failed: backend failure: endpoint timed out"
+            ) in result.output
+    assert not (tmp_path / "refit").exists()
+
+
 def test_regress_reproduces_run_regressions(tmp_path):
     write_population(tmp_path, n=200, questions=("vote", "ref"))
     backends = (
@@ -410,6 +483,16 @@ def test_regress_takes_no_run_options(tmp_path, option):
         "--predictions", str(tmp_path / "predictions.jsonl"), *option])
     assert result.exit_code == 2
     assert "No such option" in result.output and option[0] in result.output
+
+
+def test_report_takes_no_offline_option(tmp_path):
+    # report always replays, so --offline would change nothing
+    write_population(tmp_path)
+    cfg = write_config(tmp_path)
+    result = CliRunner().invoke(main, ["report", "--config", str(cfg),
+                                       "--offline"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--offline" in result.output
 
 
 def test_primary_cells_without_all_mask(tmp_path, monkeypatch):
