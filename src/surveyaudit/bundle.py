@@ -21,8 +21,8 @@ from .gateway import Prediction
 from .metrics import (
     EqualityVerdict,
     MetricReport,
+    ceiling_ratio,
     harmonic_mean,
-    relative_ratio,
     round_half_away,
 )
 from .regression import summarize, to_csv_rows
@@ -58,9 +58,8 @@ def fmt2(value: Optional[float]) -> str:
 
 
 def cell_with_ratio(value: float, baseline: Optional[float]) -> str:
-    if baseline is None or baseline <= 0:
-        return fmt2(value)
-    return f"{fmt2(value)} ({fmt2(relative_ratio(value, baseline))})"
+    ratio = ceiling_ratio(value, baseline)
+    return fmt2(value) if ratio is None else f"{fmt2(value)} ({fmt2(ratio)})"
 
 
 def _group_name(group) -> str:
@@ -165,10 +164,6 @@ def write_regressions(out: Path, regressions: dict[str, dict]) -> None:
         (out / f"regression_{key}.csv").write_text(
             "\n".join(lines) + "\n", encoding="utf-8"
         )
-
-
-def _ratio(value: Optional[float], base: Optional[float]) -> Optional[float]:
-    return value / base if value is not None and base else None
 
 
 def _dump_json(path: Path, payload) -> None:
@@ -309,8 +304,9 @@ def write_bundle(bundle: ReportBundle, schema: AttributeSchema) -> None:
                     "accuracy": acc,
                     "jss": jss_v,
                     "relative_accuracy":
-                        _ratio(acc, base.per_group_accuracy[attr][cat]),
-                    "relative_jss": _ratio(jss_v, base.per_group_jss[attr][cat]),
+                        ceiling_ratio(acc, base.per_group_accuracy[attr][cat]),
+                    "relative_jss":
+                        ceiling_ratio(jss_v, base.per_group_jss[attr][cat]),
                 })
             _dump_json(
                 plots / f"{c.backend}__{c.case_id}__{attr}.json",

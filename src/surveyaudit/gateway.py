@@ -10,7 +10,6 @@ so a finished run can be re-scored without any network.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import json
@@ -91,23 +90,26 @@ def cache_key(prompt_text: str, model_id: str, temperature: float,
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _reply_fields(prompt: RenderedPrompt, config: BackendConfig
+                  ) -> tuple[str, Optional[str]]:
+    """The fields of a prompt that its reply is keyed by.  Above temperature
+    0 the replies to one text are separate draws, so each target respondent
+    keeps its own; at 0 every prompt with the same text shares one reply."""
+    return prompt.text, prompt.target_id if config.temperature > 0 else None
+
+
 def prompt_key(prompt: RenderedPrompt, config: BackendConfig) -> str:
-    """The cache key of a prompt sent to a backend.  Above temperature 0 the
-    replies to one text are separate draws, so each target respondent keeps
-    its own; at 0 every prompt with the same text shares one reply."""
-    return cache_key(
-        prompt.text, config.model_id, config.temperature,
-        prompt.target_id if config.temperature > 0 else None,
-    )
+    """The cache key of a prompt sent to a backend."""
+    text, respondent_id = _reply_fields(prompt, config)
+    return cache_key(text, config.model_id, config.temperature, respondent_id)
 
 
 class ExchangeCache:
     """Append-only JSON-lines cache of prompt/response exchanges.
 
-    Concurrent appends are serialized by a lock; identical keys always map
-    to identical values, so last-writer-wins is harmless.  The file is
-    opened for appending on the first ``put`` and stays open until
-    ``close``; every record is flushed as it is written.
+    Concurrent appends are serialized by a lock.  The file is opened for
+    appending on the first ``put`` and stays open until ``close``; every
+    record is flushed as it is written.
 
     A final line that does not decode is a write cut short: it is skipped
     on load, its length is kept in ``torn_tail``, and it is cut off the file
@@ -118,9 +120,6 @@ class ExchangeCache:
         self.path = Path(path) if path else None
         self._lock = threading.Lock()
         self._entries: dict[str, str] = {}
-        # one lock per key that a caller is fetching, dropped on its put;
-        # after a failed fetch the waiting callers take it in turn
-        self._flights: dict[str, threading.Lock] = {}
         self._fh = None
         self.hits = 0
         self.misses = 0
@@ -184,20 +183,6 @@ class ExchangeCache:
                     self._fh = self.path.open("a", encoding="utf-8")
                 self._fh.write(json.dumps(rec) + "\n")
                 self._fh.flush()
-            self._flights.pop(key, None)
-
-    @contextlib.contextmanager
-    def flight(self, key: str):
-        """Single flight for a missed key: of the callers that miss it at
-        once, one holds the key while it fetches and puts the value, and the
-        others wait.  Yields the value when an earlier holder put it
-        meanwhile, else None."""
-        with self._lock:
-            lock = self._flights.setdefault(key, threading.Lock())
-        with lock:
-            with self._lock:
-                value = self._entries.get(key)
-            yield value
 
     def close(self) -> None:
         """Close the append handle; a later ``put`` opens it again."""
@@ -380,8 +365,7 @@ def complete(prompt: RenderedPrompt, backend, cache: Optional[ExchangeCache] = N
     """Run one prompt, returning (raw_text, cache_hit).
 
     Mock backends are deterministic and bypass the cache entirely; remote
-    exchanges are cached before return.  Concurrent misses on one key make
-    one backend call: the other callers wait for its reply.
+    exchanges are cached before return.
     """
     config: BackendConfig = backend.config
     if isinstance(backend, ReplayBackend):
@@ -392,11 +376,8 @@ def complete(prompt: RenderedPrompt, backend, cache: Optional[ExchangeCache] = N
     cached = cache.get(key)
     if cached is not None:
         return cached, True
-    with cache.flight(key) as landed:
-        if landed is not None:
-            return landed, True
-        raw = backend.complete(prompt)
-        cache.put(key, prompt.text, config.model_id, config.temperature, raw)
+    raw = backend.complete(prompt)
+    cache.put(key, prompt.text, config.model_id, config.temperature, raw)
     return raw, False
 
 
@@ -408,48 +389,45 @@ def run_batch(
 ) -> list[Prediction]:
     """Execute a batch, output order-aligned with the input.
 
-    Concurrency is bounded by the backend's configured parallelism.
-    Per-prompt failures become unparseable predictions with a note, which
+    Prompts that share a cache key share one send: the first of each key is
+    sent, in order, on up to the backend's configured parallelism, and the
+    others take its reply, note and latency as cache hits.  A mock replies
+    to every prompt, since its reply may depend on the target.  Per-prompt
+    failures become unparseable predictions with a note, which
     ``Prediction.failed`` reads; only configuration-level errors abort the
     batch.
     """
     config: BackendConfig = backend.config
-    results: list[Optional[Prediction]] = [None] * len(prompts)
 
-    def one(idx: int, prompt: RenderedPrompt) -> Prediction:
+    def send(i: int) -> tuple[str, bool, float, str]:
+        """(raw_text, cache_hit, latency_ms, failure note) of prompt i"""
         started = time.monotonic()
         try:
-            raw, hit = complete(prompt, backend, cache)
+            raw, hit, note = *complete(prompts[i], backend, cache), ""
         except AuthMissing:
             raise  # config error: abort the whole batch
         except Exception as exc:
-            return Prediction(
-                respondent_id=prompt.target_id,
-                question_id=prompt.case_id,
-                backend=config.name,
-                raw_text="",
-                parsed=UNPARSEABLE,
-                latency_ms=(time.monotonic() - started) * 1000.0,
-                cache_hit=False,
-                note=f"backend failure: {exc}",
-            )
-        parsed = parse_response(raw, options_by_case[prompt.case_id])
-        return Prediction(
-            respondent_id=prompt.target_id,
-            question_id=prompt.case_id,
-            backend=config.name,
-            raw_text=raw,
-            parsed=parsed,
-            latency_ms=(time.monotonic() - started) * 1000.0,
-            cache_hit=hit,
-        )
+            raw, hit, note = "", False, f"backend failure: {exc}"
+        return raw, hit, (time.monotonic() - started) * 1000.0, note
 
-    if config.parallelism == 1 or len(prompts) <= 1:
-        for i, p in enumerate(prompts):
-            results[i] = one(i, p)
+    # one backend per batch, so equal key fields mean equal keys: no hashing
+    keys = (range(len(prompts)) if isinstance(backend, MockBackend)
+            else [_reply_fields(p, config) for p in prompts])
+    first: dict = {}  # key -> position of its first prompt
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    if config.parallelism == 1 or len(first) <= 1:
+        replies = dict(zip(first, map(send, first.values())))
     else:
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            futures = {pool.submit(one, i, p): i for i, p in enumerate(prompts)}
-            for fut, i in futures.items():
-                results[i] = fut.result()
-    return [r for r in results if r is not None]
+            replies = dict(zip(first, pool.map(send, first.values())))
+
+    predictions = []
+    for i, (prompt, key) in enumerate(zip(prompts, keys)):
+        raw, hit, latency_ms, note = replies[key]
+        parsed = UNPARSEABLE if note else parse_response(
+            raw, options_by_case[prompt.case_id])
+        predictions.append(Prediction(
+            prompt.target_id, prompt.case_id, config.name, raw, parsed,
+            latency_ms, hit or (first[key] != i and not note), note))
+    return predictions

@@ -179,6 +179,13 @@ def relative_ratio(model_value: float, baseline_value: float) -> float:
     return model_value / baseline_value
 
 
+def ceiling_ratio(value: Optional[float], ceiling: Optional[float]) -> Optional[float]:
+    """``relative_ratio``, or None when a value is missing or the ceiling 0."""
+    if value is None or ceiling is None or ceiling <= 0:
+        return None
+    return relative_ratio(value, ceiling)
+
+
 @dataclass(frozen=True)
 class EqualityVerdict:
     satisfied: bool

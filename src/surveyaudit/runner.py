@@ -36,6 +36,9 @@ from .prompts import (
 from .regression import ModelSpec, build_design, fit_logit
 
 _VARIANTS = {v.value: v for v in PromptVariant}
+_CONFIG_KEYS = ("dataset backends cases variant variants masks ablation fewshot "
+                "political forest regressions unparseable equality_tolerance "
+                "equality_pairs seed cache output").split()
 
 
 @dataclass
@@ -72,8 +75,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid YAML: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
+    unknown = set(raw) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"config: unknown fields {sorted(map(str, unknown))}")
 
-    ds = raw.get("dataset") or {}
+    ds = _convert(dict, raw.get("dataset") or {}, "dataset")
     if "csv" not in ds or "schema" not in ds:
         raise ConfigError("config needs dataset.csv and dataset.schema")
     backends = raw.get("backends")
@@ -85,9 +91,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if v not in _VARIANTS:
             raise ConfigError(f"unknown prompt variant {v!r}")
 
-    fewshot = raw.get("fewshot") or {}
-    forest = dict(raw.get("forest") or {})
-    forest_seed = forest.pop("seed", raw.get("seed", 0))
+    seed = _convert(int, raw.get("seed", 0), "seed")
+    fewshot = _convert(dict, raw.get("fewshot") or {}, "fewshot")
+    fewshot_k = _convert(int, fewshot.get("k", DEFAULT_FEWSHOT_K), "fewshot.k")
+    forest = _convert(dict, raw.get("forest") or {}, "forest")
+    forest_seed = _convert(int, forest.pop("seed", seed), "forest.seed")
+    pairs = raw.get("equality_pairs") or []
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(
+                f"equality_pairs: a pair names two attributes, got {pair!r}")
+    regressions = [_convert(dict, entry, "regression entry")
+                   for entry in raw.get("regressions") or []]
 
     base = path.parent
 
@@ -103,20 +118,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
         variants=list(variants),
         masks=list(raw.get("masks") or ["all"]),
         ablation=bool(raw.get("ablation", False)),
-        fewshot_k=int(fewshot.get("k", DEFAULT_FEWSHOT_K)),
+        fewshot_k=fewshot_k,
         political=list(raw.get("political")
                        or sorted(DEFAULT_POLITICAL)),
         forest_params=forest,
-        forest_seed=int(forest_seed),
-        regressions=[
-            # a scalar "all" is the one-element list
-            dict(e, main_effects=["all"]) if e.get("main_effects") == "all" else e
-            for e in raw.get("regressions") or []
-        ],
+        forest_seed=forest_seed,
+        regressions=regressions,
         unparseable_policy=raw.get("unparseable", "incorrect"),
-        equality_tolerance=float(raw.get("equality_tolerance", 0.05)),
-        equality_pairs=[tuple(p) for p in raw.get("equality_pairs") or []],
-        seed=int(raw.get("seed", 0)),
+        equality_tolerance=_convert(float, raw.get("equality_tolerance", 0.05),
+                                    "equality_tolerance"),
+        equality_pairs=[tuple(p) for p in pairs],
+        seed=seed,
         cache_path=resolve(raw["cache"]) if raw.get("cache") else None,
         out_dir=resolve(raw.get("output", "out")),
         config_hash=hashlib.sha256(raw_bytes).hexdigest(),
@@ -124,6 +136,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if cfg.unparseable_policy not in {"incorrect", "exclude"}:
         raise ConfigError(f"unknown unparseable policy {cfg.unparseable_policy!r}")
     return cfg
+
+
+def _convert(kind, value, what: str):
+    """``kind(value)``, or a ``ConfigError`` naming ``what``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}") from None
 
 
 def _parse_mask(text: str, political: frozenset[str],
@@ -185,8 +205,12 @@ def _backend_config(entry: dict, dataset: Dataset, offline: bool
     what = f"backend {entry.get('name')!r}"
     if offline and entry.get("kind") == "remote":
         entry["kind"] = "replay"
-        entry.pop("endpoint", None)
     config = _construct(BackendConfig, entry, what)
+    if config.kind == "replay":
+        # a replay reads the cache by these fields alone; network settings
+        # such as parallelism, retries and the rate limit do not apply
+        config = BackendConfig(config.name, "replay", config.model_id,
+                               temperature=config.temperature)
     if config.kind == "mock":
         return config, _mock_reply_fn(strategy or "first_option", dataset)
     if strategy is not None:
@@ -421,11 +445,8 @@ def _run_cell(dataset: Dataset, cfg: ExperimentConfig, backend,
             dataset, predictions, case, backend=bname,
             policy=cfg.unparseable_policy,
         )
-    report.relative = {
-        m: metrics_mod.relative_ratio(getattr(report, m), getattr(base, m))
-        if getattr(base, m) > 0 else None
-        for m in ("accuracy", "jss")
-    }
+    report.relative = {m: metrics_mod.ceiling_ratio(getattr(report, m), getattr(base, m))
+                       for m in ("accuracy", "jss")}
     return CellResult(bname, case.question_id, variant.value, mask.label(),
                       report, predictions)
 
@@ -464,20 +485,17 @@ def regression_specs(dataset: Dataset,
     names = dataset.schema.names
     specs = []
     for entry in cfg.regressions:
-        name = entry.get("name", "model")
-        mains = entry.get("main_effects") or ["all"]
-        mains = names if mains == ["all"] else tuple(mains)
+        what = f"regression {entry.get('name', 'model')!r}"
+        # no main effects, "all" and ["all"] each mean every attribute
+        mains = entry.get("main_effects") or "all"
+        mains = names if mains in ("all", ["all"]) else tuple(mains)
         for attr in mains:
             if attr not in names:
-                raise ConfigError(
-                    f"regression {name!r} names unknown attribute {attr!r}")
-        interactions = tuple(tuple(i) for i in entry.get("interactions") or [])
-        try:
-            specs.append(ModelSpec(
-                mains, interactions,
-                bool(entry.get("question_fixed_effects", True)), name))
-        except ValueError as exc:
-            raise ConfigError(f"regression {name!r}: {exc}")
+                raise ConfigError(f"{what} names unknown attribute {attr!r}")
+        specs.append(_construct(ModelSpec, dict(
+            entry, main_effects=mains,
+            interactions=tuple(tuple(i) for i in entry.get("interactions") or [])
+        ), what))
     return specs
 
 

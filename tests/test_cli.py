@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from surveyaudit import gateway as gateway_mod
 from surveyaudit import runner as runner_mod
 from surveyaudit.cli import main
 from surveyaudit.data import Attribute, AttributeSchema, save_dataset
@@ -259,11 +260,24 @@ def test_interaction_outside_main_effects_fails_before_any_work(
     ("backends:\n  - {name: r, kind: remote, strategy: majority,\n"
      "     endpoint: 'http://example.invalid/v1'}\n",
      "Error: backend 'r': strategy applies only to mock backends"),
+    ("seed: abc\n", "Error: seed: expected int, got 'abc'"),
+    ("fewshot: {k: many}\n", "Error: fewshot.k: expected int, got 'many'"),
+    ("equality_tolerance: wide\n",
+     "Error: equality_tolerance: expected float, got 'wide'"),
+    ("equality_pairs: [[gender]]\n",
+     "Error: equality_pairs: a pair names two attributes, got ['gender']"),
+    ("fewshot: 3\n", "Error: fewshot: expected dict, got 3"),
+    ("unparsable: exclude\n", "Error: config: unknown fields ['unparsable']"),
+    ("regressions:\n  - {name: m1, main_effects: [gender],\n"
+     "     interaction: [[gender, age]]}\n",
+     "Error: regression 'm1': unknown fields ['interaction']"),
 ], ids=["forest_key", "n_trees", "min_samples_leaf", "max_depth",
         "features_per_split", "backend_name", "backend_kind", "fewshot_k_0",
         "fewshot_k_negative", "variant", "mask", "fewshot_k_above_eligible",
         "with_context_without_blurb", "backend_without_kind",
-        "strategy_on_remote"])
+        "strategy_on_remote", "seed_not_int", "fewshot_k_not_int",
+        "tolerance_not_float", "equality_pair_of_one", "fewshot_not_mapping",
+        "unknown_top_level_key", "unknown_regression_key"])
 def test_config_mistake_fails_before_any_work(tmp_path, monkeypatch, extra,
                                               message):
     # a key repeated in ``extra`` overrides write_config's, as YAML loads it
@@ -356,6 +370,45 @@ def test_offline_converts_remote_to_replay(tmp_path):
     result = runner.invoke(main, ["run", "--config", str(cfg), "--offline"])
     assert result.exit_code != 0
     assert "no parsed" in result.output
+
+
+def test_replay_starts_no_thread_pool(tmp_path, monkeypatch):
+    """A replay reads the cache serially, whatever parallelism its remote
+    entry asks for, and writes the bundle a serial replay writes."""
+    write_population(tmp_path)
+
+    def reply(self, prompt):
+        # a reply that varies with the prompt, so the bundle has content
+        return "OptA" if len(prompt.text) % 3 else "OptB"
+
+    monkeypatch.setenv("SURVEYAUDIT_API_KEY", "k")
+    monkeypatch.setattr(gateway_mod.RemoteChatBackend, "complete", reply)
+    runs = {}
+    for parallelism in (8, 1):
+        cfg = write_config(tmp_path, extra="cache: cache.jsonl\n", backends=(
+            "  - {name: gpt, kind: remote, model_id: gpt-x, endpoint: "
+            f"'http://example.invalid/v1', parallelism: {parallelism}}}"))
+        if not runs:
+            live = CliRunner().invoke(main, ["run", "--config", str(cfg),
+                                             "--out", str(tmp_path / "live")])
+            assert live.exit_code == 0, live.output
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a replay started a thread pool")
+
+        monkeypatch.setattr(gateway_mod, "ThreadPoolExecutor", no_pool)
+        out = tmp_path / f"replay{parallelism}"
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg),
+                                           "--offline", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        runs[parallelism] = bundle_bytes(out)
+    assert runs[8] == bundle_bytes(tmp_path / "live")
+    # the two configs differ in parallelism, so only their hashes differ
+    for files in runs.values():
+        manifest = json.loads(files["manifest.json"])
+        del manifest["config_hash"]
+        files["manifest.json"] = manifest
+    assert runs[8] == runs[1]
 
 
 def test_backend_failure_names_the_cause(tmp_path):

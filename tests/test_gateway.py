@@ -295,7 +295,7 @@ def test_run_batch_replay_determinism(tmp_path, monkeypatch):
     assert all(p.cache_hit for p in second)
 
 
-# --- single flight and keys ---
+# --- one send per distinct key, and the keys ---
 
 class _Reply:
     status_code = 200
@@ -312,42 +312,6 @@ def _remote(temperature=0.0, parallelism=1):
     return BackendConfig(name="r", kind="remote", model_id="gpt-x",
                          endpoint="http://invalid.example/chat",
                          temperature=temperature, parallelism=parallelism)
-
-
-def test_concurrent_misses_make_one_call(tmp_path, monkeypatch):
-    ds = make_dataset(n=3)
-    prompt = prompt_for(ds)
-    path = tmp_path / "cache.jsonl"
-    cache = ExchangeCache(path)
-    calls = []
-    second = threading.Event()
-
-    class BlockingSession:
-        def post(self, *a, **k):
-            calls.append(1)
-            if len(calls) == 2:
-                second.set()
-            # hold the first call until a second one arrives, or 0.5 s
-            second.wait(0.5)
-            return _Reply("Left")
-
-    monkeypatch.setenv("SURVEYAUDIT_API_KEY", "k")
-    backend = RemoteChatBackend(_remote(), session=BlockingSession())
-    results = []
-    threads = [
-        threading.Thread(target=lambda: results.append(
-            complete(prompt, backend, cache)))
-        for _ in range(2)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10)
-    assert not any(t.is_alive() for t in threads)
-    cache.close()
-    assert len(calls) == 1
-    assert sorted(results) == [("Left", False), ("Left", True)]
-    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
 
 
 def test_run_batch_calls_once_per_distinct_prompt(tmp_path, monkeypatch):
@@ -387,6 +351,45 @@ def test_run_batch_calls_once_per_distinct_prompt(tmp_path, monkeypatch):
         sys.setswitchinterval(switch)
 
 
+@pytest.mark.parametrize("parallelism", [1, 8])
+def test_failing_shared_key_is_sent_once(tmp_path, monkeypatch, parallelism):
+    # zero-shot prompts of profiles 0 and 1, five respondents each: 2 texts
+    ds = make_dataset(n=30)
+    case = ds.cases[0]
+    prompts = [prompt_for(ds, i) for i in range(30) if i % 6 < 2]
+    good, bad = prompts[0].text, prompts[1].text
+    assert len(prompts) == 10 and {p.text for p in prompts} == {good, bad}
+    lock = threading.Lock()
+    sent = []
+
+    class HalfBrokenSession:
+        def post(self, url, json=None, headers=None, timeout=None):
+            text = json["messages"][-1]["content"]
+            with lock:
+                sent.append(text)
+            reply = _Reply("Left")
+            if text == bad:
+                reply.status_code = 400  # rejected: no retry
+            return reply
+
+    monkeypatch.setenv("SURVEYAUDIT_API_KEY", "k")
+    cache = ExchangeCache(tmp_path / "cache.jsonl")
+    backend = RemoteChatBackend(_remote(parallelism=parallelism),
+                                session=HalfBrokenSession())
+    preds = run_batch(prompts, {case.question_id: case.options}, backend, cache)
+    cache.close()
+    assert sorted(sent) == sorted([good, bad])
+    assert len(cache) == 1
+    for prompt, pred in zip(prompts, preds):
+        assert pred.respondent_id == prompt.target_id
+        if prompt.text == bad:
+            assert pred.failed and pred.parsed is None and not pred.cache_hit
+            assert "request rejected (400)" in pred.note
+        else:
+            assert not pred.failed and pred.parsed == 0
+    assert [p.cache_hit for p in preds if p.raw_text] == [False] + [True] * 4
+
+
 def test_temperature_above_zero_keys_by_respondent(tmp_path, monkeypatch):
     ds = make_dataset(n=7)
     a, b = prompt_for(ds, 0), prompt_for(ds, 6)  # same profile values
@@ -410,3 +413,9 @@ def test_temperature_above_zero_keys_by_respondent(tmp_path, monkeypatch):
         assert len(set(live)) == expected
         replay = ReplayBackend(config, ExchangeCache(path))
         assert [replay.complete(p) for p in (a, b)] == live[:2]
+        # run_batch shares a send between the prompts that share a key
+        calls.clear()
+        batch = run_batch([a, b, a, b], {ds.cases[0].question_id: ds.cases[0].options},
+                          backend, ExchangeCache())
+        assert len(calls) == expected
+        assert len({p.raw_text for p in batch}) == expected
