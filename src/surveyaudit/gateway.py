@@ -13,7 +13,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
+import random
 import re
 import threading
 import time
@@ -282,6 +284,26 @@ class ReplayBackend:
         return value
 
 
+_MAX_RETRY_DELAY_S = 30.0
+
+
+def _retry_delay(attempt: int, failed=None) -> float:
+    """Seconds to wait before retry ``attempt`` (1, 2, ...): the numeric
+    ``Retry-After`` of the ``failed`` response when it gives one, else an
+    exponential backoff of 2^attempt s with jitter, drawn from its upper
+    half so that clients that failed together do not retry together.  Both
+    are capped at 30 s; an HTTP-date ``Retry-After`` counts as absent."""
+    headers = getattr(failed, "headers", None) or {}
+    try:
+        seconds = float(headers.get("Retry-After"))
+    except (TypeError, ValueError):
+        seconds = math.nan
+    if seconds >= 0:  # false for nan
+        return min(seconds, _MAX_RETRY_DELAY_S)
+    backoff = min(2.0 ** attempt, _MAX_RETRY_DELAY_S)
+    return random.uniform(backoff / 2, backoff)
+
+
 class RemoteChatBackend:
     """JSON-over-HTTP chat-completion client with retry and rate limiting."""
 
@@ -322,16 +344,17 @@ class RemoteChatBackend:
         }
         headers = {"Authorization": f"Bearer {token}"}
         last_error: Exception | None = None
+        resp = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
-                time.sleep(min(2.0 ** attempt, 30.0))
+                time.sleep(_retry_delay(attempt, resp))
             self._throttle()
             try:
                 resp = self._session.post(
                     self.config.endpoint, json=body, headers=headers, timeout=120
                 )
             except Exception as exc:  # connection-level failure, retryable
-                last_error = exc
+                last_error, resp = exc, None
                 continue
             if resp.status_code == 429:
                 last_error = RateLimited("rate limited by endpoint")

@@ -82,13 +82,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     ds = _convert(dict, raw.get("dataset") or {}, "dataset")
     if "csv" not in ds or "schema" not in ds:
         raise ConfigError("config needs dataset.csv and dataset.schema")
-    backends = raw.get("backends")
+    backends = [_convert(dict, entry, "backend entry")
+                for entry in _list(raw, "backends")]
     if not backends:
         raise ConfigError("config needs at least one backend")
 
-    variants = raw.get("variants") or [raw.get("variant", "original")]
+    variants = _names(raw, "variants") or [raw.get("variant", "original")]
     for v in variants:
-        if v not in _VARIANTS:
+        if not isinstance(v, str) or v not in _VARIANTS:
             raise ConfigError(f"unknown prompt variant {v!r}")
 
     seed = _convert(int, raw.get("seed", 0), "seed")
@@ -96,13 +97,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
     fewshot_k = _convert(int, fewshot.get("k", DEFAULT_FEWSHOT_K), "fewshot.k")
     forest = _convert(dict, raw.get("forest") or {}, "forest")
     forest_seed = _convert(int, forest.pop("seed", seed), "forest.seed")
-    pairs = raw.get("equality_pairs") or []
+    pairs = _list(raw, "equality_pairs")
     for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(
                 f"equality_pairs: a pair names two attributes, got {pair!r}")
     regressions = [_convert(dict, entry, "regression entry")
-                   for entry in raw.get("regressions") or []]
+                   for entry in _list(raw, "regressions")]
 
     base = path.parent
 
@@ -113,13 +114,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
     cfg = ExperimentConfig(
         csv_path=resolve(ds["csv"]),
         schema_path=resolve(ds["schema"]),
-        backends=list(backends),
-        case_ids=raw.get("cases"),
+        backends=backends,
+        case_ids=_names(raw, "cases"),
         variants=list(variants),
-        masks=list(raw.get("masks") or ["all"]),
+        masks=list(_names(raw, "masks") or ["all"]),
         ablation=bool(raw.get("ablation", False)),
         fewshot_k=fewshot_k,
-        political=list(raw.get("political")
+        political=list(_names(raw, "political")
                        or sorted(DEFAULT_POLITICAL)),
         forest_params=forest,
         forest_seed=forest_seed,
@@ -136,6 +137,29 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if cfg.unparseable_policy not in {"incorrect", "exclude"}:
         raise ConfigError(f"unknown unparseable policy {cfg.unparseable_policy!r}")
     return cfg
+
+
+def _is_names(value) -> bool:
+    # a bare string is no list of names: it would read as its characters
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _names(raw: dict, key: str) -> Optional[list[str]]:
+    """``raw[key]``, None or a list of strings; any other value raises
+    ``ConfigError`` naming the key."""
+    value = raw.get(key)
+    if value is not None and not _is_names(value):
+        raise ConfigError(f"{key}: expected a list of names, got {value!r}")
+    return value
+
+
+def _list(raw: dict, key: str) -> list:
+    """``raw[key]``, a list (empty when absent); any other value raises
+    ``ConfigError`` naming the key."""
+    value = raw.get(key) or []
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: expected a list, got {value!r}")
+    return value
 
 
 def _convert(kind, value, what: str):
@@ -488,13 +512,22 @@ def regression_specs(dataset: Dataset,
         what = f"regression {entry.get('name', 'model')!r}"
         # no main effects, "all" and ["all"] each mean every attribute
         mains = entry.get("main_effects") or "all"
-        mains = names if mains in ("all", ["all"]) else tuple(mains)
+        if mains in ("all", ["all"]):
+            mains = names
+        elif not _is_names(mains):
+            raise ConfigError(f"{what}: main_effects: expected 'all' or a "
+                              f"list of names, got {mains!r}")
         for attr in mains:
             if attr not in names:
                 raise ConfigError(f"{what} names unknown attribute {attr!r}")
+        interactions = _list(entry, "interactions")
+        for pair in interactions:
+            if not (_is_names(pair) and len(pair) == 2):
+                raise ConfigError(f"{what}: an interaction names two "
+                                  f"attributes, got {pair!r}")
         specs.append(_construct(ModelSpec, dict(
-            entry, main_effects=mains,
-            interactions=tuple(tuple(i) for i in entry.get("interactions") or [])
+            entry, main_effects=tuple(mains),
+            interactions=tuple(tuple(i) for i in interactions)
         ), what))
     return specs
 

@@ -271,13 +271,30 @@ def test_interaction_outside_main_effects_fails_before_any_work(
     ("regressions:\n  - {name: m1, main_effects: [gender],\n"
      "     interaction: [[gender, age]]}\n",
      "Error: regression 'm1': unknown fields ['interaction']"),
+    ("backends: [mock]\n", "Error: backend entry: expected dict, got 'mock'"),
+    ("backends: mock\n", "Error: backends: expected a list, got 'mock'"),
+    ("masks: [5]\n", "Error: masks: expected a list of names, got [5]"),
+    ("regressions:\n  - {name: m1, main_effects: [gender, age],\n"
+     "     interactions: [5]}\n",
+     "Error: regression 'm1': an interaction names two attributes, got 5"),
+    ("regressions:\n  - {name: m1, main_effects: gender}\n",
+     "Error: regression 'm1': main_effects: expected 'all' or a list of "
+     "names, got 'gender'"),
+    ("cases: vote\n", "Error: cases: expected a list of names, got 'vote'"),
+    ("variants: original\n",
+     "Error: variants: expected a list of names, got 'original'"),
+    ("political: ideology\n",
+     "Error: political: expected a list of names, got 'ideology'"),
 ], ids=["forest_key", "n_trees", "min_samples_leaf", "max_depth",
         "features_per_split", "backend_name", "backend_kind", "fewshot_k_0",
         "fewshot_k_negative", "variant", "mask", "fewshot_k_above_eligible",
         "with_context_without_blurb", "backend_without_kind",
         "strategy_on_remote", "seed_not_int", "fewshot_k_not_int",
         "tolerance_not_float", "equality_pair_of_one", "fewshot_not_mapping",
-        "unknown_top_level_key", "unknown_regression_key"])
+        "unknown_top_level_key", "unknown_regression_key",
+        "backend_not_mapping", "backends_not_list", "mask_not_name",
+        "interaction_not_pair", "main_effects_not_list", "cases_not_list",
+        "variants_not_list", "political_not_list"])
 def test_config_mistake_fails_before_any_work(tmp_path, monkeypatch, extra,
                                               message):
     # a key repeated in ``extra`` overrides write_config's, as YAML loads it

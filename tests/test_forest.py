@@ -1,14 +1,18 @@
 import hashlib
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import surveyaudit.forest as forest_mod
 from surveyaudit.data import Attribute, AttributeSchema, SocioProfile, save_dataset
 from surveyaudit.errors import SchemaMismatch
 from surveyaudit.forest import (
+    LOCKSTEP_MIN_TREES,
     ForestParams,
     _gini,
+    _gini_rows,
     baseline_metrics,
     fit_in_sample,
     predict,
@@ -264,6 +268,18 @@ def test_gini_sums_like_numpy():
             assert _gini(counts.astype(float).tolist(), float(counts.sum())) == expected
 
 
+def test_gini_rows_equals_gini():
+    # the lockstep grower scores every (node, column) pair with _gini_rows
+    rng = np.random.default_rng(1)
+    for n_classes in range(2, 13):
+        counts = rng.integers(0, 60, (300, n_classes))
+        counts[:, 0] += 1
+        totals = counts.sum(axis=1)
+        expected = [_gini(c.astype(float).tolist(), float(t))
+                    for c, t in zip(counts, totals)]
+        assert _gini_rows(counts, totals).tolist() == expected
+
+
 @pytest.mark.parametrize("params, n_options", [
     (ForestParams(n_trees=8), 3),
     (ForestParams(n_trees=8, min_samples_leaf=3), 3),
@@ -274,20 +290,62 @@ def test_gini_sums_like_numpy():
 ])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_trees_match_reference_grower(params, n_options, seed):
+    # the small forest grows tree by tree, the large one in lockstep
+    assert params.n_trees < LOCKSTEP_MIN_TREES
     options = tuple(f"o{j}" for j in range(n_options))
     ds = _six_attribute_population(seed, n=160, options=options)
     X = _one_hot(ds)
     for case in ds.cases:
         y = np.array([case.answers[p.respondent_id] for p in ds.profiles])
-        model = fit_in_sample(ds, case, params, seed=seed)
-        for tree_idx, tree in enumerate(model.trees):
+        small = fit_in_sample(ds, case, params, seed=seed)
+        large = fit_in_sample(
+            ds, case, replace(params, n_trees=LOCKSTEP_MIN_TREES), seed=seed)
+        assert len(large.trees) == LOCKSTEP_MIN_TREES
+        for tree_idx, tree in enumerate(large.trees):
             expected = _reference_grow_tree(
                 X, y, n_options, params, np.random.default_rng((seed, tree_idx)))
-            assert len(tree.nodes) == len(expected)
-            for node, (feature, left, right, counts) in zip(tree.nodes, expected):
-                assert (node["feature"], node["left"], node["right"]) == \
-                    (feature, left, right)
-                assert np.array_equal(node["counts"], counts)
+            for grown in [tree] + small.trees[tree_idx:tree_idx + 1]:
+                assert len(grown.nodes) == len(expected)
+                for node, (feature, left, right, counts) in zip(grown.nodes,
+                                                                expected):
+                    assert (node["feature"], node["left"], node["right"]) == \
+                        (feature, left, right)
+                    assert np.array_equal(node["counts"], counts)
+
+
+def _reference_predict(model, X):
+    # one profile and one tree at a time, reading the one-hot columns
+    votes = np.zeros((len(X), model.n_classes), dtype=int)
+    for tree in model.trees:
+        feature, left, right = (tree.nodes[k].tolist()
+                                for k in ("feature", "left", "right"))
+        for i, x in enumerate(X.tolist()):
+            at = 0
+            while feature[at] >= 0:
+                at = right[at] if x[feature[at]] else left[at]
+            votes[i, np.argmax(tree.nodes["counts"][at])] += 1
+    return np.argmax(votes, axis=1).tolist()
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["one_pass", "bounded"])
+def test_lockstep_trees_equal_tree_by_tree_trees(bounded, monkeypatch):
+    if bounded:  # many small tallies and prediction passes, frequent refills
+        monkeypatch.setattr(forest_mod, "_TALLY_CODES", 64)
+        monkeypatch.setattr(forest_mod, "_PREDICT_PAIRS", 100)
+        monkeypatch.setattr(forest_mod, "_PERMUTATIONS", 2)
+    # a tree is keyed by (seed, tree index), so the first trees of a
+    # lockstep forest are the trees of a small forest grown one by one
+    ds = _six_attribute_population(5, n=300, options=("A", "B", "C", "D"))
+    X = _one_hot(ds)
+    for case in ds.cases:
+        small = fit_in_sample(ds, case, ForestParams(n_trees=8), seed=5)
+        large = fit_in_sample(
+            ds, case, ForestParams(n_trees=LOCKSTEP_MIN_TREES), seed=5)
+        for a, b in zip(small.trees, large.trees[:8]):
+            assert a.nodes.dtype == b.nodes.dtype
+            assert np.array_equal(a.nodes, b.nodes)
+        assert predict(large, ds.profiles) == _reference_predict(large, X)
+        assert predict(small, ds.profiles) == _reference_predict(small, X)
 
 
 def test_forest_heavy_bundle_bytes_pinned(tmp_path):

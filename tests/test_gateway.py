@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from surveyaudit import gateway
 from surveyaudit.errors import AuthMissing, BackendUnavailable
 from surveyaudit.gateway import (
     BackendConfig,
@@ -419,3 +420,75 @@ def test_temperature_above_zero_keys_by_respondent(tmp_path, monkeypatch):
                           backend, ExchangeCache())
         assert len(calls) == expected
         assert len({p.raw_text for p in batch}) == expected
+
+
+# --- retries ---
+
+class _FaultySession:
+    """Replies with each of ``faults`` in turn, then succeeds: a fault is an
+    exception to raise or a (status, headers) pair."""
+
+    def __init__(self, faults):
+        self.faults = list(faults)
+        self.calls = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.calls += 1
+        if not self.faults:
+            return _Reply("Left")
+        fault = self.faults.pop(0)
+        if isinstance(fault, Exception):
+            raise fault
+        reply = _Reply("")
+        reply.status_code, reply.headers = fault
+        return reply
+
+
+def _retrying(monkeypatch, faults, max_retries):
+    sleeps = []
+    monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+    monkeypatch.setenv("SURVEYAUDIT_API_KEY", "k")
+    config = BackendConfig(name="r", kind="remote", model_id="gpt-x",
+                           endpoint="http://invalid.example/chat",
+                           max_retries=max_retries)
+    session = _FaultySession(faults)
+    return RemoteChatBackend(config, session=session), session, sleeps
+
+
+def test_retry_honours_numeric_retry_after(monkeypatch):
+    backend, session, sleeps = _retrying(monkeypatch, [
+        (429, {"Retry-After": "3"}),
+        (503, {"Retry-After": "120"}),  # capped at 30 s
+        (429, {"Retry-After": "0"}),
+    ], max_retries=3)
+    assert backend.complete(prompt_for(make_dataset(n=3))) == "Left"
+    assert session.calls == 4
+    assert sleeps == [3.0, 30.0, 0.0]
+
+
+def test_retry_backoff_is_jittered_and_capped(monkeypatch):
+    faults = [ConnectionError("reset"), (503, {}), (429, {}),
+              (429, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+              (500, {"Retry-After": "-1"}), (502, {})]
+    draws = []
+
+    def uniform(a, b):
+        draws.append((a, b))
+        return (a + b) / 2
+
+    monkeypatch.setattr(gateway.random, "uniform", uniform)
+    backend, session, sleeps = _retrying(monkeypatch, faults, max_retries=6)
+    assert backend.complete(prompt_for(make_dataset(n=3))) == "Left"
+    # an HTTP-date or a negative Retry-After counts as absent
+    backoff = [2.0, 4.0, 8.0, 16.0, 30.0, 30.0]
+    assert draws == [(b / 2, b) for b in backoff]
+    assert sleeps == [0.75 * b for b in backoff]
+
+
+def test_retry_gives_up_after_max_retries(monkeypatch):
+    backend, session, sleeps = _retrying(
+        monkeypatch, [(503, {})] * 3, max_retries=2)
+    with pytest.raises(BackendUnavailable, match="server error 503"):
+        backend.complete(prompt_for(make_dataset(n=3)))
+    assert session.calls == 3 and len(sleeps) == 2
+    assert 1.0 <= sleeps[0] <= 2.0 and 2.0 <= sleeps[1] <= 4.0
