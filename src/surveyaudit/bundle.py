@@ -133,6 +133,33 @@ def equality_matrix_markdown(
             f"{verdict.tolerance:.4f}: **{status}**")
 
 
+# what json.dumps writes for a str, with its default ensure_ascii
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def prediction_lines(cell: CellResult) -> str:
+    """The ``predictions.jsonl`` lines of a cell, one per prediction.
+
+    A line is ``json.dumps(record, sort_keys=True)`` of the record with the
+    prediction's respondent_id, question_id, backend, raw_text, parsed
+    (None or an int) and note, and the cell's variant and mask.  Volatile
+    fields are left out, so reruns of a deterministic backend write the same
+    bytes.  The line is assembled from the escaped fields, in sorted key
+    order with the default separators; the cell's fields are escaped once.
+    """
+    mask, variant = _json_str(cell.mask_label), _json_str(cell.variant)
+    return "".join([
+        f'{{"backend": {_json_str(p.backend)}, "mask": {mask}, '
+        f'"note": {_json_str(p.note)}, '
+        f'"parsed": {"null" if p.parsed is None else int.__repr__(p.parsed)}, '
+        f'"question_id": {_json_str(p.question_id)}, '
+        f'"raw_text": {_json_str(p.raw_text)}, '
+        f'"respondent_id": {_json_str(p.respondent_id)}, '
+        f'"variant": {variant}}}\n'
+        for p in cell.predictions
+    ])
+
+
 def read_cells(path: str | Path) -> list[CellResult]:
     """The cells of a ``predictions.jsonl`` written by ``write_bundle``,
     in file order, without their reports."""
@@ -186,11 +213,7 @@ def write_bundle(bundle: ReportBundle, schema: AttributeSchema) -> None:
 
     with (out / "predictions.jsonl").open("w", encoding="utf-8") as fh:
         for cell in bundle.cells:
-            for p in cell.predictions:
-                rec = p.to_record()
-                rec["variant"] = cell.variant
-                rec["mask"] = cell.mask_label
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(prediction_lines(cell))
 
     _dump_json(out / "metrics.json", {
         "baseline": {cid: rep.to_dict() for cid, rep in bundle.baseline.items()},

@@ -251,8 +251,13 @@ def _grow_lockstep(
     pending = _pending_dtype(C)
 
     # Rows of one profile never part, so every leaf holds a profile of its
-    # own and a tree has at most 2 * profiles - 1 nodes.
-    profile = np.unique(active, axis=0, return_inverse=True)[1].reshape(-1)
+    # own and a tree has at most 2 * profiles - 1 nodes.  Equal rows are
+    # numbered after a lexsort: np.unique would import numpy.ma.
+    order = np.lexsort(active.T)
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (active[order[1:]] != active[order[:-1]]).any(axis=1)
+    profile = np.empty(n, dtype=np.intp)
+    profile[order] = np.cumsum(starts) - 1
     flat_rows = np.empty(n_trees * n, dtype=np.int32)
     flat_w = np.empty(n_trees * n, dtype=np.int32)
     roots = np.zeros(n_trees, dtype=pending)
@@ -265,7 +270,7 @@ def _grow_lockstep(
         roots["end"][t] = end
         roots["counts"][t] = np.bincount(y[r], weights=w[r], minlength=C)
         flat_rows[end - len(r):end], flat_w[end - len(r):end] = r, w[r]
-        capacity[t] = 2 * len(np.unique(profile[r])) - 1
+        capacity[t] = 2 * np.count_nonzero(np.bincount(profile[r])) - 1
     flat_rows, flat_w = flat_rows[:end], flat_w[:end]
     roots["parent"] = -1
 
@@ -452,7 +457,7 @@ def fit_in_sample(
         n_classes=n_classes,
         params=params,
         seed=seed,
-        degenerate=len(np.unique(y)) == 1,
+        degenerate=bool(y.min() == y.max()),
     )
 
 

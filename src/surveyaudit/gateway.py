@@ -70,18 +70,6 @@ class Prediction:
         notes a prediction only then."""
         return bool(self.note)
 
-    def to_record(self) -> dict:
-        """Stable serialized form (volatile fields dropped so that reruns
-        of a deterministic backend produce byte-identical audit logs)."""
-        return {
-            "respondent_id": self.respondent_id,
-            "question_id": self.question_id,
-            "backend": self.backend,
-            "raw_text": self.raw_text,
-            "parsed": self.parsed,
-            "note": self.note,
-        }
-
 
 def cache_key(prompt_text: str, model_id: str, temperature: float,
               respondent_id: Optional[str] = None) -> str:
@@ -415,10 +403,10 @@ def run_batch(
     Prompts that share a cache key share one send: the first of each key is
     sent, in order, on up to the backend's configured parallelism, and the
     others take its reply, note and latency as cache hits.  A mock replies
-    to every prompt, since its reply may depend on the target.  Per-prompt
-    failures become unparseable predictions with a note, which
-    ``Prediction.failed`` reads; only configuration-level errors abort the
-    batch.
+    to every prompt, since its reply may depend on the target.  Each
+    distinct (reply, case) is parsed once.  Per-prompt failures become
+    unparseable predictions with a note, which ``Prediction.failed`` reads;
+    only configuration-level errors abort the batch.
     """
     config: BackendConfig = backend.config
 
@@ -445,11 +433,14 @@ def run_batch(
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
             replies = dict(zip(first, pool.map(send, first.values())))
 
+    parses: dict[tuple[str, str], Optional[int]] = {}  # (reply, case) -> parse
     predictions = []
     for i, (prompt, key) in enumerate(zip(prompts, keys)):
         raw, hit, latency_ms, note = replies[key]
-        parsed = UNPARSEABLE if note else parse_response(
-            raw, options_by_case[prompt.case_id])
+        if not note and (raw, prompt.case_id) not in parses:
+            parses[raw, prompt.case_id] = parse_response(
+                raw, options_by_case[prompt.case_id])
+        parsed = UNPARSEABLE if note else parses[raw, prompt.case_id]
         predictions.append(Prediction(
             prompt.target_id, prompt.case_id, config.name, raw, parsed,
             latency_ms, hit or (first[key] != i and not note), note))

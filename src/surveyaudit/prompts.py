@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 import random
+import re
+import string
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .data import AttributeSchema, Dataset, SocioProfile, SurveyCase
 from .errors import FewshotMismatch, InsufficientExamples, MissingContext
@@ -180,14 +183,77 @@ def _attribute_block(profile: SocioProfile, included: tuple[str, ...]) -> str:
     return block
 
 
-def _options_block(case: SurveyCase) -> str:
-    return "\n".join(f"{i + 1}. {label}" for i, label in enumerate(case.options))
-
-
 @functools.lru_cache(maxsize=None)  # one entry per variant
 def _load_template(variant: PromptVariant) -> str:
     ref = resources.files("surveyaudit.templates") / f"{variant.value}.txt"
     return ref.read_text(encoding="utf-8")
+
+
+_FORMATTER = string.Formatter()
+# the template fields whose values differ from prompt to prompt of a case
+_PER_PROMPT = frozenset({"attribute_block", "examples"})
+
+
+def _root(field_name: str) -> str:
+    """The argument name a replacement field looks up: "a" of "a.b[0]"."""
+    return re.match(r"[^.[]*", field_name).group()
+
+
+def _fill_field(name: str, conversion: Optional[str], spec: str,
+                case_values: Mapping[str, str], values: Mapping[str, str]) -> str:
+    """One replacement field, as ``str.format`` fills it from the case's
+    values and a prompt's ``values``."""
+    both = {**case_values, **values}
+    obj = _FORMATTER.convert_field(_FORMATTER.get_field(name, (), both)[0],
+                                   conversion)
+    return _FORMATTER.format_field(obj, _FORMATTER.vformat(spec, (), both))
+
+
+@functools.lru_cache(maxsize=256)
+def _case_frame(template: str, answer_prefix: str, question: str,
+                options: tuple[str, ...], context: str):
+    """A template filled with one case's question, options and context.
+
+    Returns (head, tail, answers): the text is ``head`` followed, for each
+    (fill, literal) of ``tail``, by ``fill(values)`` and ``literal``, where
+    ``values`` maps each name of ``_PER_PROMPT`` to a prompt's value.  The
+    case's values are inserted as text and never parsed, so a brace or a
+    field name in a question stays literal.  ``answers[i]`` is the line
+    that follows an example whose answer is option ``i``.
+    """
+    case_values = {
+        "question": question,
+        "options": "\n".join(f"{i + 1}. {label}" for i, label in enumerate(options)),
+        "context": context,
+    }
+    pieces: list = []  # literal, fill, literal, fill, ..., literal
+    literal: list[str] = []
+    for text, name, spec, conversion in _FORMATTER.parse(template):
+        literal.append(text)
+        if name is None:
+            continue
+        nested = [n for _, n, _, _ in _FORMATTER.parse(spec) if n is not None]
+        if not any(_root(n) in _PER_PROMPT for n in (name, *nested)):
+            literal.append(_fill_field(name, conversion, spec, case_values, {}))
+            continue
+        if name in _PER_PROMPT and conversion is None and not spec:
+            fill = operator.itemgetter(name)
+        else:
+            fill = functools.partial(_fill_field, name, conversion, spec,
+                                     case_values)
+        pieces += "".join(literal), fill
+        literal = []
+    pieces.append("".join(literal))
+    answers = tuple(f"\n{answer_prefix}: {label}" for label in options)
+    return pieces[0], tuple(zip(pieces[1::2], pieces[2::2])), answers
+
+
+@functools.lru_cache(maxsize=256)
+def _included(mask: AblationMask, names: tuple[str, ...]
+              ) -> tuple[tuple[str, ...], frozenset[str]]:
+    """The names that ``mask`` keeps, in order, and as a set."""
+    included = mask.filter_names(names)
+    return included, frozenset(included)
 
 
 def render(
@@ -215,25 +281,23 @@ def render(
             raise FewshotMismatch("target respondent appears among the examples")
 
     # profile insertion order is schema order, established at load time
-    included = mask.filter_names(tuple(profile.values.keys()))
-    answer_prefix = _ANSWER_PREFIX[variant]
-
-    example_chunks = []
-    for ex_profile, answer_idx in fewshot:
-        chunk = _attribute_block(ex_profile, included)
-        chunk += f"\n{answer_prefix}: {case.options[answer_idx]}"
-        example_chunks.append(chunk)
-
-    text = _load_template(variant).format(
-        attribute_block=_attribute_block(profile, included),
-        question=case.question_text,
-        options=_options_block(case),
-        examples="\n\n".join(example_chunks),
-        context=case.context_blurb or "",
-    )
+    included, included_set = _included(mask, tuple(profile.values))
+    # the template is read on every call, so the frame is keyed on its text
+    head, tail, answers = _case_frame(
+        _load_template(variant), _ANSWER_PREFIX[variant], case.question_text,
+        case.options, case.context_blurb or "")
+    values = {
+        "attribute_block": _attribute_block(profile, included),
+        "examples": "\n\n".join([_attribute_block(ex_profile, included)
+                                  + answers[answer_idx]
+                                  for ex_profile, answer_idx in fewshot]),
+    }
+    parts = [head]
+    for fill, literal in tail:
+        parts += fill(values), literal
     return RenderedPrompt(
-        text=text,
-        included_attributes=frozenset(included),
+        text="".join(parts),
+        included_attributes=included_set,
         fewshot_ids=tuple(p.respondent_id for p, _ in fewshot),
         variant=variant,
         case_id=case.question_id,

@@ -289,12 +289,14 @@ def render_case_prompts(
 ):
     """Render one prompt per respondent with a known answer, in profile
     order; few-shot variants show the examples that ``examples`` names."""
-    prompts = []
-    for rid in dataset.answered(case)[0]:
-        ids = examples[rid] if variant.uses_fewshot else ()
-        fewshot = [(dataset.profile(i), case.answers[i]) for i in ids]
-        prompts.append(render(dataset.profile(rid), case, variant, mask, fewshot))
-    return prompts
+    answered = dataset.answered(case)[0]
+    # (profile, answer) of every respondent that can be shown as an example
+    pairs = {rid: (dataset.profile(rid), case.answers[rid]) for rid in answered}
+    return [
+        render(pairs[rid][0], case, variant, mask,
+               [pairs[i] for i in examples[rid]] if variant.uses_fewshot else [])
+        for rid in answered
+    ]
 
 
 @dataclass

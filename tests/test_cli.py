@@ -334,6 +334,26 @@ def test_run_calls_the_traced_names(tmp_path, monkeypatch):
     assert set(calls) == {*TRACED, "baseline_metrics"}
 
 
+def test_run_renders_each_prompt_once(tmp_path, monkeypatch):
+    # perfbench counts the prompts of a run as its calls of runner.render
+    rendered = []
+    render = runner_mod.render
+
+    def counted(*args, **kwargs):
+        rendered.append(render(*args, **kwargs))
+        return rendered[-1]
+
+    monkeypatch.setattr(runner_mod, "render", counted)
+    write_population(tmp_path, questions=("vote", "ref"))
+    cfg = write_config(tmp_path, extra="variants: [original, zeroshot]\n"
+                                        "ablation: true\n")
+    bundle = run_experiment(load_config(cfg), offline=True)
+    assert len(rendered) == bundle.manifest["n_predictions"] == 2 * 2 * 6 * 120
+    assert [(p.target_id, p.case_id) for p in rendered] == [
+        (p.respondent_id, p.question_id)
+        for c in bundle.cells for p in c.predictions]
+
+
 def test_equality_pairs(tmp_path):
     write_population(tmp_path)
     cfg = write_config(tmp_path, extra="equality_pairs: [[gender, age]]")

@@ -1,6 +1,10 @@
 import hashlib
+import os
+import subprocess
+import sys
 import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,3 +375,32 @@ def test_forest_heavy_bundle_bytes_pinned(tmp_path):
             digest.update(path.read_bytes())
     assert digest.hexdigest() == (
         "ce06fd6a7d50094825c8af70ca42d75244691929e0a0f6b41a430527becf3a6f")
+
+
+def test_run_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, a module no step of a run needs
+    ds = _six_attribute_population(7, n=120, options=("A", "B", "C"))
+    save_dataset(ds, tmp_path / "data.csv", tmp_path / "schema.yaml")
+    (tmp_path / "config.yaml").write_text(textwrap.dedent(f"""\
+        dataset: {{csv: data.csv, schema: schema.yaml}}
+        backends:
+          - {{name: mock, kind: mock, strategy: majority}}
+        variants: [original, zeroshot]
+        ablation: true
+        political: [ideology, interest]
+        forest: {{n_trees: {LOCKSTEP_MIN_TREES}, seed: 5}}
+        regressions:
+          - {{name: m1, main_effects: all}}
+        output: out
+    """))
+    script = ("import sys\n"
+              "from surveyaudit.runner import load_config, run_experiment\n"
+              "run_experiment(load_config(sys.argv[1]), offline=True)\n"
+              "print('numpy.ma' in sys.modules)")
+    src = Path(forest_mod.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "config.yaml")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=120, check=True)
+    assert (tmp_path / "out" / "predictions.jsonl").is_file()
+    assert out.stdout.strip() == "False"

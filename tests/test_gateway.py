@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -266,6 +268,46 @@ def test_run_batch_per_prompt_failure_becomes_unparseable():
     assert "boom" in bad.note
 
 
+def test_run_batch_parses_each_distinct_reply_of_a_case_once(monkeypatch):
+    # two cases in one batch share reply texts, which parse differently
+    # under their options; some prompts fail
+    ds = make_dataset(n=30)
+    vote = ds.cases[0]
+    prompts = [prompt_for(ds, i) for i in range(30)]
+    prompts += [dataclasses.replace(p, case_id="other") for p in prompts[:12]]
+    options = {vote.question_id: vote.options, "other": ("Right", "Left", "No")}
+    replies = ("Left", "Right", "2.", "I'd say Right")
+
+    def reply(prompt):
+        i = int(prompt.target_id[1:])
+        if i % 7 == 3:
+            raise RuntimeError(f"boom {i}")
+        return replies[i % len(replies)]
+
+    parse = gateway.parse_response
+    parses = Counter()
+
+    def counted(raw, opts):
+        parses[raw, tuple(opts)] += 1
+        return parse(raw, opts)
+
+    monkeypatch.setattr(gateway, "parse_response", counted)
+    backend = MockBackend(BackendConfig(name="m", kind="mock"), reply_fn=reply)
+    preds = run_batch(prompts, options, backend)
+    assert list(parses.values()) == [1] * len(replies) * len(options)
+
+    expected = []
+    for prompt in prompts:  # every prompt parsed on its own
+        try:
+            raw = reply(prompt)
+        except RuntimeError as exc:
+            expected.append(("", None, f"backend failure: {exc}"))
+        else:
+            expected.append((raw, parse(raw, options[prompt.case_id]), ""))
+    assert [(p.raw_text, p.parsed, p.note) for p in preds] == expected
+    assert sum(p.failed for p in preds) == 6
+
+
 def test_run_batch_replay_determinism(tmp_path, monkeypatch):
     ds = make_dataset(n=10)
     case = ds.cases[0]
@@ -292,7 +334,11 @@ def test_run_batch_replay_determinism(tmp_path, monkeypatch):
 
     replay = ReplayBackend(config, ExchangeCache(tmp_path / "cache.jsonl"))
     second = run_batch(prompts, {case.question_id: case.options}, replay)
-    assert [p.to_record() for p in first] == [p.to_record() for p in second]
+    # every field but the volatile latency and cache flag
+    assert [dataclasses.replace(p, latency_ms=0.0, cache_hit=False)
+            for p in first] == [dataclasses.replace(p, latency_ms=0.0,
+                                                    cache_hit=False)
+                                for p in second]
     assert all(p.cache_hit for p in second)
 
 

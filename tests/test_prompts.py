@@ -160,6 +160,98 @@ def test_template_read_once_per_variant(monkeypatch):
     assert reads == {"surveyaudit.templates": len(PromptVariant)}
 
 
+def _reference_render(profile, case, variant, mask, fewshot):
+    """The text that filling the whole template with ``str.format`` gives:
+    the reference for the per-case frame."""
+    included = mask.filter_names(tuple(profile.values))
+    prefix = "Respuesta" if variant is PromptVariant.SPANISH else "Answer"
+
+    def block(p):
+        return "\n".join(f"- {n}: {p.values[n]}" for n in included)
+
+    return prompts_mod._load_template(variant).format(
+        attribute_block=block(profile),
+        question=case.question_text,
+        options="\n".join(f"{i + 1}. {o}" for i, o in enumerate(case.options)),
+        examples="\n\n".join(f"{block(p)}\n{prefix}: {case.options[a]}"
+                              for p, a in fewshot),
+        context=case.context_blurb or "",
+    )
+
+
+# case texts that str.format would read as fields, were they parsed again
+_TRICKY = dict(question="Who {examples} won {{0}} the } vote? ¿Quién?",
+               options=("{attribute_block}", "Sí }{", "a{{b}}c"),
+               context="Ñuñoa {context} {{ }}")
+
+
+def _tricky_dataset():
+    ds = _partly_answered(24, context=_TRICKY["context"])
+    case = dataclasses.replace(
+        ds.cases[0], question_text=_TRICKY["question"],
+        options=_TRICKY["options"])
+    return dataclasses.replace(ds, cases=(case,))
+
+
+@pytest.mark.parametrize("variant", list(PromptVariant))
+def test_render_matches_str_format_reference(variant):
+    ds = _tricky_dataset()
+    case = ds.cases[0]
+    answered = [p for p in ds.profiles if p.respondent_id in case.answers]
+    for mask in ablation_plan(ds.schema, political_set={"ideology", "age"}):
+        for target in answered[:6]:
+            few = [] if variant is PromptVariant.ZERO_SHOT else \
+                fewshot_for(ds, case, target.respondent_id, k=4)
+            out = render(target, case, variant, mask, few)
+            assert out.text == _reference_render(target, case, variant, mask,
+                                                 few)
+            assert out.included_attributes == set(mask.filter_names(
+                tuple(target.values)))
+    assert "{examples}" in out.text and "a{{b}}c" in out.text
+
+
+@pytest.mark.parametrize("variant", [PromptVariant.ORIGINAL,
+                                     PromptVariant.ZERO_SHOT])
+@pytest.mark.parametrize("template", [
+    "{attribute_block!r}|{examples!a}|{options!s}",
+    "{question:>80}{context:*^40}{attribute_block:.7}",
+    "{examples:{context}}-{{examples}}-{options:{context}}",
+    "{{{attribute_block}}}{examples}{examples}{question.upper}x",
+    "{attribute_block[0]}{options[3]}",
+    # a valid spec only while the examples are empty, as in zero-shot
+    "{question:{examples}}",
+    "no fields at all, just {{braces}}",
+    "",
+])
+def test_render_matches_str_format_for_any_template(monkeypatch, template,
+                                                    variant):
+    ds = make_dataset(n=10, context="30")
+    case = ds.cases[0]
+    target = ds.profiles[0]
+    few = [] if variant is PromptVariant.ZERO_SHOT else \
+        fewshot_for(ds, case, target.respondent_id)
+    monkeypatch.setattr(prompts_mod, "_load_template", lambda variant: template)
+    try:
+        expected = _reference_render(target, case, variant, AblationMask.all(),
+                                     few)
+    except ValueError:  # a format spec that str.format rejects
+        with pytest.raises(ValueError):
+            render(target, case, variant, AblationMask.all(), few)
+    else:
+        out = render(target, case, variant, AblationMask.all(), few)
+        assert out.text == expected
+
+
+def test_render_unknown_template_field_raises_key_error(monkeypatch):
+    ds = make_dataset(n=10)
+    case = ds.cases[0]
+    monkeypatch.setattr(prompts_mod, "_load_template",
+                        lambda variant: "{attribute_block} {respondent}")
+    with pytest.raises(KeyError, match="respondent"):
+        render(ds.profiles[0], case, PromptVariant.ZERO_SHOT,
+               AblationMask.all(), [])
+
+
 def test_sample_fewshot_uniform_frequency():
     ds = make_dataset(n=20)
     case = ds.cases[0]
