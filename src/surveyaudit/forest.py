@@ -44,7 +44,11 @@ class ForestParams:
         for name in ("n_trees", "features_per_split", "min_samples_leaf",
                      "max_depth"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
 

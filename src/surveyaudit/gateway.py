@@ -51,6 +51,8 @@ class BackendConfig:
             raise ValueError("temperature must be >= 0")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
 @dataclass(frozen=True)

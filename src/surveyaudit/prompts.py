@@ -1,22 +1,24 @@
 """Prompt rendering: four variants, ablation masks, few-shot selection.
 
 Rendering is a pure function of its arguments, so identical inputs always
-produce byte-identical prompt text.  Templates live in external text files
-with named placeholders and can be swapped without touching code.
+produce byte-identical prompt text.  Templates live in external text files,
+one per variant, and can be swapped without touching code.  A template
+names only the fields ``{question}``, ``{options}``, ``{context}``,
+``{attribute_block}`` and ``{examples}``, each bare, and ``{{``/``}}`` for a
+literal brace; an unknown field raises ``KeyError``, and a conversion,
+format spec, index or attribute on a field raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import operator
 import random
-import re
 import string
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .data import AttributeSchema, Dataset, SocioProfile, SurveyCase
 from .errors import FewshotMismatch, InsufficientExamples, MissingContext
@@ -76,10 +78,6 @@ class AblationMask:
     def without_political(cls, political_set=DEFAULT_POLITICAL) -> "AblationMask":
         return cls(MaskMode.WITHOUT_POLITICAL, political_set=frozenset(political_set))
 
-    def included(self, schema: AttributeSchema) -> tuple[str, ...]:
-        """Attribute names that remain in the prompt, in schema order."""
-        return self.filter_names(schema.names)
-
     def filter_names(self, names: Sequence[str]) -> tuple[str, ...]:
         names = tuple(names)
         if self.mode is MaskMode.ALL:
@@ -105,8 +103,6 @@ class AblationMask:
 @dataclass(frozen=True)
 class RenderedPrompt:
     text: str
-    included_attributes: frozenset[str]
-    fewshot_ids: tuple[str, ...]
     variant: PromptVariant
     case_id: str
     target_id: str
@@ -189,24 +185,10 @@ def _load_template(variant: PromptVariant) -> str:
     return ref.read_text(encoding="utf-8")
 
 
-_FORMATTER = string.Formatter()
-# the template fields whose values differ from prompt to prompt of a case
+# the fields a template may name, each bare: those whose values differ from
+# prompt to prompt of a case, and those of the case itself
 _PER_PROMPT = frozenset({"attribute_block", "examples"})
-
-
-def _root(field_name: str) -> str:
-    """The argument name a replacement field looks up: "a" of "a.b[0]"."""
-    return re.match(r"[^.[]*", field_name).group()
-
-
-def _fill_field(name: str, conversion: Optional[str], spec: str,
-                case_values: Mapping[str, str], values: Mapping[str, str]) -> str:
-    """One replacement field, as ``str.format`` fills it from the case's
-    values and a prompt's ``values``."""
-    both = {**case_values, **values}
-    obj = _FORMATTER.convert_field(_FORMATTER.get_field(name, (), both)[0],
-                                   conversion)
-    return _FORMATTER.format_field(obj, _FORMATTER.vformat(spec, (), both))
+_FIELDS = _PER_PROMPT | {"question", "options", "context"}
 
 
 @functools.lru_cache(maxsize=256)
@@ -215,45 +197,40 @@ def _case_frame(template: str, answer_prefix: str, question: str,
     """A template filled with one case's question, options and context.
 
     Returns (head, tail, answers): the text is ``head`` followed, for each
-    (fill, literal) of ``tail``, by ``fill(values)`` and ``literal``, where
-    ``values`` maps each name of ``_PER_PROMPT`` to a prompt's value.  The
-    case's values are inserted as text and never parsed, so a brace or a
-    field name in a question stays literal.  ``answers[i]`` is the line
-    that follows an example whose answer is option ``i``.
+    (name, literal) of ``tail``, by a prompt's value of the ``_PER_PROMPT``
+    field ``name`` and ``literal``.  The case's values are inserted as text
+    and never parsed, so a brace or a field name in a question stays
+    literal.  ``answers[i]`` is the line that follows an example whose
+    answer is option ``i``.
     """
     case_values = {
         "question": question,
         "options": "\n".join(f"{i + 1}. {label}" for i, label in enumerate(options)),
         "context": context,
     }
-    pieces: list = []  # literal, fill, literal, fill, ..., literal
-    literal: list[str] = []
-    for text, name, spec, conversion in _FORMATTER.parse(template):
-        literal.append(text)
+    pieces = [""]  # literal, name, literal, name, ..., literal
+    for text, name, spec, conversion in string.Formatter().parse(template):
+        pieces[-1] += text
         if name is None:
             continue
-        nested = [n for _, n, _, _ in _FORMATTER.parse(spec) if n is not None]
-        if not any(_root(n) in _PER_PROMPT for n in (name, *nested)):
-            literal.append(_fill_field(name, conversion, spec, case_values, {}))
-            continue
-        if name in _PER_PROMPT and conversion is None and not spec:
-            fill = operator.itemgetter(name)
+        if conversion or spec or name not in _FIELDS:
+            root = name.split(".")[0].split("[")[0]
+            if root not in _FIELDS:
+                raise KeyError(root)
+            raise ValueError(f"template field {root!r} takes no conversion, "
+                             f"format spec, index or attribute")
+        if name in _PER_PROMPT:
+            pieces += name, ""
         else:
-            fill = functools.partial(_fill_field, name, conversion, spec,
-                                     case_values)
-        pieces += "".join(literal), fill
-        literal = []
-    pieces.append("".join(literal))
+            pieces[-1] += case_values[name]
     answers = tuple(f"\n{answer_prefix}: {label}" for label in options)
     return pieces[0], tuple(zip(pieces[1::2], pieces[2::2])), answers
 
 
 @functools.lru_cache(maxsize=256)
-def _included(mask: AblationMask, names: tuple[str, ...]
-              ) -> tuple[tuple[str, ...], frozenset[str]]:
-    """The names that ``mask`` keeps, in order, and as a set."""
-    included = mask.filter_names(names)
-    return included, frozenset(included)
+def _included(mask: AblationMask, names: tuple[str, ...]) -> tuple[str, ...]:
+    """The names that ``mask`` keeps, in order."""
+    return mask.filter_names(names)
 
 
 def render(
@@ -281,7 +258,7 @@ def render(
             raise FewshotMismatch("target respondent appears among the examples")
 
     # profile insertion order is schema order, established at load time
-    included, included_set = _included(mask, tuple(profile.values))
+    included = _included(mask, tuple(profile.values))
     # the template is read on every call, so the frame is keyed on its text
     head, tail, answers = _case_frame(
         _load_template(variant), _ANSWER_PREFIX[variant], case.question_text,
@@ -293,12 +270,10 @@ def render(
                                   for ex_profile, answer_idx in fewshot]),
     }
     parts = [head]
-    for fill, literal in tail:
-        parts += fill(values), literal
+    for name, literal in tail:
+        parts += values[name], literal
     return RenderedPrompt(
         text="".join(parts),
-        included_attributes=included_set,
-        fewshot_ids=tuple(p.respondent_id for p, _ in fewshot),
         variant=variant,
         case_id=case.question_id,
         target_id=profile.respondent_id,

@@ -10,6 +10,7 @@ pure function of (config, cache), so reruns are byte-identical.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
@@ -92,11 +93,22 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if not isinstance(v, str) or v not in _VARIANTS:
             raise ConfigError(f"unknown prompt variant {v!r}")
 
-    seed = _convert(int, raw.get("seed", 0), "seed")
+    seed = _integer(raw.get("seed", 0), "seed")
     fewshot = _convert(dict, raw.get("fewshot") or {}, "fewshot")
-    fewshot_k = _convert(int, fewshot.get("k", DEFAULT_FEWSHOT_K), "fewshot.k")
+    fewshot_k = _integer(fewshot.get("k", DEFAULT_FEWSHOT_K), "fewshot.k")
     forest = _convert(dict, raw.get("forest") or {}, "forest")
-    forest_seed = _convert(int, forest.pop("seed", seed), "forest.seed")
+    forest_seed = _integer(forest.pop("seed", seed), "forest.seed")
+    ablation = raw.get("ablation", False)
+    if not isinstance(ablation, bool):
+        raise ConfigError(f"ablation: expected bool, got {ablation!r}")
+    case_ids = _names(raw, "cases")
+    if case_ids == []:
+        raise ConfigError("cases: expected at least one question id, got []")
+    tolerance = _convert(float, raw.get("equality_tolerance", 0.05),
+                         "equality_tolerance")
+    if not 0 <= tolerance < math.inf:  # false for nan
+        raise ConfigError(f"equality_tolerance: expected a finite number "
+                          f">= 0, got {tolerance!r}")
     pairs = _list(raw, "equality_pairs")
     for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
@@ -107,18 +119,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     base = path.parent
 
-    def resolve(p):
+    def resolve(p, key: str):
+        if not isinstance(p, str):
+            raise ConfigError(f"{key}: expected a path, got {p!r}")
         p = Path(p)
         return p if p.is_absolute() else base / p
 
     cfg = ExperimentConfig(
-        csv_path=resolve(ds["csv"]),
-        schema_path=resolve(ds["schema"]),
+        csv_path=resolve(ds["csv"], "dataset.csv"),
+        schema_path=resolve(ds["schema"], "dataset.schema"),
         backends=backends,
-        case_ids=_names(raw, "cases"),
+        case_ids=case_ids,
         variants=list(variants),
         masks=list(_names(raw, "masks") or ["all"]),
-        ablation=bool(raw.get("ablation", False)),
+        ablation=ablation,
         fewshot_k=fewshot_k,
         political=list(_names(raw, "political")
                        or sorted(DEFAULT_POLITICAL)),
@@ -126,15 +140,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
         forest_seed=forest_seed,
         regressions=regressions,
         unparseable_policy=raw.get("unparseable", "incorrect"),
-        equality_tolerance=_convert(float, raw.get("equality_tolerance", 0.05),
-                                    "equality_tolerance"),
+        equality_tolerance=tolerance,
         equality_pairs=[tuple(p) for p in pairs],
         seed=seed,
-        cache_path=resolve(raw["cache"]) if raw.get("cache") else None,
-        out_dir=resolve(raw.get("output", "out")),
+        cache_path=resolve(raw["cache"], "cache") if raw.get("cache") else None,
+        out_dir=resolve(raw.get("output", "out"), "output"),
         config_hash=hashlib.sha256(raw_bytes).hexdigest(),
     )
-    if cfg.unparseable_policy not in {"incorrect", "exclude"}:
+    # a tuple, not a set: a list or mapping then compares unequal, not unhashable
+    if cfg.unparseable_policy not in ("incorrect", "exclude"):
         raise ConfigError(f"unknown unparseable policy {cfg.unparseable_policy!r}")
     return cfg
 
@@ -159,6 +173,14 @@ def _list(raw: dict, key: str) -> list:
     value = raw.get(key) or []
     if not isinstance(value, list):
         raise ConfigError(f"{key}: expected a list, got {value!r}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    """``value`` when it is an integer (a bool is none), else a
+    ``ConfigError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what}: expected int, got {value!r}")
     return value
 
 

@@ -285,6 +285,28 @@ def test_interaction_outside_main_effects_fails_before_any_work(
      "Error: variants: expected a list of names, got 'original'"),
     ("political: ideology\n",
      "Error: political: expected a list of names, got 'ideology'"),
+    ("unparseable: [a]\n", "Error: unknown unparseable policy ['a']"),
+    ("cache: 5\n", "Error: cache: expected a path, got 5"),
+    ("output: [x]\n", "Error: output: expected a path, got ['x']"),
+    ("dataset: {csv: 5, schema: schema.yaml}\n",
+     "Error: dataset.csv: expected a path, got 5"),
+    ("forest: {n_trees: 2.5}\n",
+     "Error: forest: n_trees must be an integer, got 2.5"),
+    ("forest: {n_trees: true}\n",
+     "Error: forest: n_trees must be an integer, got True"),
+    ("seed: 1.7\n", "Error: seed: expected int, got 1.7"),
+    ("seed: true\n", "Error: seed: expected int, got True"),
+    ("fewshot: {k: 2.9}\n", "Error: fewshot.k: expected int, got 2.9"),
+    ("forest: {seed: 1.5}\n", "Error: forest.seed: expected int, got 1.5"),
+    ("ablation: 'false'\n", "Error: ablation: expected bool, got 'false'"),
+    ("cases: []\n", "Error: cases: expected at least one question id, got []"),
+    ("equality_tolerance: -1\n",
+     "Error: equality_tolerance: expected a finite number >= 0, got -1.0"),
+    ("equality_tolerance: .nan\n",
+     "Error: equality_tolerance: expected a finite number >= 0, got nan"),
+    ("backends:\n  - {name: r, kind: remote, max_retries: -1,\n"
+     "     endpoint: 'http://example.invalid/v1'}\n",
+     "Error: backend 'r': max_retries must be >= 0, got -1"),
 ], ids=["forest_key", "n_trees", "min_samples_leaf", "max_depth",
         "features_per_split", "backend_name", "backend_kind", "fewshot_k_0",
         "fewshot_k_negative", "variant", "mask", "fewshot_k_above_eligible",
@@ -294,7 +316,12 @@ def test_interaction_outside_main_effects_fails_before_any_work(
         "unknown_top_level_key", "unknown_regression_key",
         "backend_not_mapping", "backends_not_list", "mask_not_name",
         "interaction_not_pair", "main_effects_not_list", "cases_not_list",
-        "variants_not_list", "political_not_list"])
+        "variants_not_list", "political_not_list", "unparseable_not_name",
+        "cache_not_path", "output_not_path", "dataset_csv_not_path",
+        "n_trees_not_int", "n_trees_bool", "seed_float", "seed_bool",
+        "fewshot_k_float", "forest_seed_float", "ablation_not_bool",
+        "cases_empty", "tolerance_negative", "tolerance_nan",
+        "max_retries_negative"])
 def test_config_mistake_fails_before_any_work(tmp_path, monkeypatch, extra,
                                               message):
     # a key repeated in ``extra`` overrides write_config's, as YAML loads it

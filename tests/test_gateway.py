@@ -538,3 +538,65 @@ def test_retry_gives_up_after_max_retries(monkeypatch):
         backend.complete(prompt_for(make_dataset(n=3)))
     assert session.calls == 3 and len(sleeps) == 2
     assert 1.0 <= sleeps[0] <= 2.0 and 2.0 <= sleeps[1] <= 4.0
+
+
+# --- rate limit ---
+
+class _Clock:
+    """A monotonic clock that only ``sleep`` advances."""
+
+    def __init__(self):
+        self.now = 1000.0
+        self.sleeps = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+class _TimedSession(_FaultySession):
+    """A ``_FaultySession`` that notes the clock time of each request."""
+
+    def __init__(self, faults, clock):
+        super().__init__(faults)
+        self.clock = clock
+        self.sent = []
+
+    def post(self, *args, **kwargs):
+        self.sent.append(self.clock.now)
+        return super().post(*args, **kwargs)
+
+
+def _throttled(monkeypatch, faults, rate_limit):
+    clock = _Clock()
+    monkeypatch.setattr(gateway.time, "monotonic", clock.monotonic)
+    monkeypatch.setattr(gateway.time, "sleep", clock.sleep)
+    monkeypatch.setenv("SURVEYAUDIT_API_KEY", "k")
+    session = _TimedSession(faults, clock)
+    config = BackendConfig(name="r", kind="remote", model_id="gpt-x",
+                           endpoint="http://invalid.example/chat",
+                           rate_limit=rate_limit)
+    return RemoteChatBackend(config, session=session), clock, session.sent
+
+
+def test_rate_limit_spaces_every_request(monkeypatch):
+    backend, clock, sent = _throttled(monkeypatch, [
+        (429, {"Retry-After": "0"}), (503, {"Retry-After": "0"})],
+        rate_limit=120)
+    prompt = prompt_for(make_dataset(n=3))
+    assert backend.complete(prompt) == "Left"  # two retries
+    assert backend.complete(prompt) == "Left"
+    assert backend.complete(prompt) == "Left"
+    # 120 requests a minute: one each 0.5 s, retries included
+    assert sent == [1000.0, 1000.5, 1001.0, 1001.5, 1002.0]
+
+
+def test_no_rate_limit_never_sleeps(monkeypatch):
+    backend, clock, sent = _throttled(monkeypatch, [], rate_limit=None)
+    prompt = prompt_for(make_dataset(n=3))
+    for _ in range(3):
+        assert backend.complete(prompt) == "Left"
+    assert clock.sleeps == [] and sent == [1000.0] * 3

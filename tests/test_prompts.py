@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import string
 from collections import Counter
 
 import pytest
@@ -205,41 +206,70 @@ def test_render_matches_str_format_reference(variant):
             out = render(target, case, variant, mask, few)
             assert out.text == _reference_render(target, case, variant, mask,
                                                  few)
-            assert out.included_attributes == set(mask.filter_names(
-                tuple(target.values)))
     assert "{examples}" in out.text and "a{{b}}c" in out.text
 
 
-@pytest.mark.parametrize("variant", [PromptVariant.ORIGINAL,
-                                     PromptVariant.ZERO_SHOT])
-@pytest.mark.parametrize("template", [
-    "{attribute_block!r}|{examples!a}|{options!s}",
-    "{question:>80}{context:*^40}{attribute_block:.7}",
-    "{examples:{context}}-{{examples}}-{options:{context}}",
-    "{{{attribute_block}}}{examples}{examples}{question.upper}x",
-    "{attribute_block[0]}{options[3]}",
-    # a valid spec only while the examples are empty, as in zero-shot
-    "{question:{examples}}",
-    "no fields at all, just {{braces}}",
-    "",
-])
-def test_render_matches_str_format_for_any_template(monkeypatch, template,
-                                                    variant):
+def _render_args(monkeypatch, template, variant):
+    """The arguments of one render under ``template`` in place of the
+    variant's."""
     ds = make_dataset(n=10, context="30")
     case = ds.cases[0]
     target = ds.profiles[0]
     few = [] if variant is PromptVariant.ZERO_SHOT else \
         fewshot_for(ds, case, target.respondent_id)
     monkeypatch.setattr(prompts_mod, "_load_template", lambda variant: template)
-    try:
-        expected = _reference_render(target, case, variant, AblationMask.all(),
-                                     few)
-    except ValueError:  # a format spec that str.format rejects
-        with pytest.raises(ValueError):
-            render(target, case, variant, AblationMask.all(), few)
-    else:
-        out = render(target, case, variant, AblationMask.all(), few)
-        assert out.text == expected
+    return target, case, variant, AblationMask.all(), few
+
+
+@pytest.mark.parametrize("variant", [PromptVariant.ORIGINAL,
+                                     PromptVariant.ZERO_SHOT])
+@pytest.mark.parametrize("template", [
+    "{{{attribute_block}}}{examples}{examples}{question}|{options}|{context}",
+    "no fields at all, just {{braces}}",
+    "",
+])
+def test_render_matches_str_format_for_bare_field_templates(
+        monkeypatch, template, variant):
+    args = _render_args(monkeypatch, template, variant)
+    assert render(*args).text == _reference_render(*args)
+
+
+@pytest.mark.parametrize("variant", [PromptVariant.ORIGINAL,
+                                     PromptVariant.ZERO_SHOT])
+@pytest.mark.parametrize("template, field", [
+    ("{attribute_block!r}|{examples!a}|{options!s}", "attribute_block"),
+    ("{question:>80}{context:*^40}{attribute_block:.7}", "question"),
+    ("{examples:{context}}-{{examples}}-{options:{context}}", "examples"),
+    ("{{{attribute_block}}}{examples}{question.upper}x", "question"),
+    ("{attribute_block[0]}{options[3]}", "attribute_block"),
+    ("{question:{examples}}", "question"),
+])
+def test_render_rejects_a_field_that_is_not_bare(monkeypatch, template, field,
+                                                 variant):
+    args = _render_args(monkeypatch, template, variant)
+    with pytest.raises(ValueError, match=f"template field '{field}'"):
+        render(*args)
+
+
+def test_shipped_templates_name_only_bare_fields():
+    fields = {"question", "options", "context", "attribute_block", "examples"}
+    files = prompts_mod.resources.files("surveyaudit.templates")
+    named = {}
+    for ref in files.iterdir():
+        if not ref.name.endswith(".txt"):
+            continue
+        parsed = list(string.Formatter().parse(ref.read_text(encoding="utf-8")))
+        assert all(conversion is None and spec == ""
+                   for _, name, spec, conversion in parsed
+                   if name is not None), ref.name
+        named[ref.name[:-len(".txt")]] = {
+            name for _, name, _, _ in parsed if name is not None}
+    assert set(named) == {v.value for v in PromptVariant}
+    for variant in PromptVariant:
+        names = named[variant.value]
+        assert names <= fields, variant
+        assert ("examples" in names) == variant.uses_fewshot, variant
+    assert "context" in named["with_context"]
 
 
 def test_render_unknown_template_field_raises_key_error(monkeypatch):
@@ -285,7 +315,6 @@ def test_render_mask_removes_attribute_line():
                  AblationMask.without("age"), few)
     assert "age:" not in out.text
     assert "gender:" in out.text
-    assert out.included_attributes == {"gender"}
 
 
 def test_render_zeroshot_has_no_examples_block():
@@ -294,7 +323,7 @@ def test_render_zeroshot_has_no_examples_block():
     out = render(target, ds.cases[0], PromptVariant.ZERO_SHOT,
                  AblationMask.all(), [])
     assert "Answer:" not in out.text
-    assert out.fewshot_ids == ()
+    assert out.text.count("- gender:") == 1  # the target's block alone
     assert "step by step" not in out.text
 
 
@@ -355,8 +384,8 @@ def test_render_option_order_matches_case():
 
 def test_mask_monotone():
     schema = make_schema()
-    all_in = AblationMask.all().included(schema)
-    without = AblationMask.without("gender").included(schema)
+    all_in = AblationMask.all().filter_names(schema.names)
+    without = AblationMask.without("gender").filter_names(schema.names)
     assert set(without) == set(all_in) - {"gender"}
 
 
@@ -370,7 +399,7 @@ def test_ablation_plan_structure():
     assert labels[:3] == [
         "All", "Without political variables", "Only political variables"
     ]
-    included = [m.included(schema) for m in plan]
+    included = [m.filter_names(schema.names) for m in plan]
     assert len(set(included)) == len(included)  # pairwise distinct
 
 
@@ -378,4 +407,4 @@ def test_ablation_plan_empty_political():
     schema = make_schema()
     plan = ablation_plan(schema, political_set=set())
     only = [m for m in plan if m.label() == "Only political variables"][0]
-    assert only.included(schema) == ()
+    assert only.filter_names(schema.names) == ()
