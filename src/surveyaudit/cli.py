@@ -13,6 +13,7 @@ from .errors import ConfigError, SurveyAuditError
 from .metrics import compute_report
 from .runner import (
     ExperimentConfig,
+    _integer,
     fit_regressions,
     load_config,
     primary_cells,
@@ -22,8 +23,9 @@ from .runner import (
 )
 
 
-def _load(config_path: str, out: str | None) -> ExperimentConfig:
-    cfg = load_config(config_path)
+def _load(config_path: str, out: str | None,
+          seed: int | None = None) -> ExperimentConfig:
+    cfg = load_config(config_path, seed)
     if out:
         cfg.out_dir = Path(out)
     return cfg
@@ -32,9 +34,7 @@ def _load(config_path: str, out: str | None) -> ExperimentConfig:
 def _audit(config_path, out, offline, seed, done, adjust=lambda cfg: None):
     """Load the config, let the command adjust it, run, and report."""
     try:
-        cfg = _load(config_path, out)
-        if seed is not None:
-            cfg.seed = seed
+        cfg = _load(config_path, out, seed)
         adjust(cfg)
         bundle = run_experiment(cfg, offline=offline)
     except SurveyAuditError as exc:
@@ -131,7 +131,7 @@ def synth(config_path, out):
 
     try:
         raw = yaml.safe_load(Path(config_path).read_text(encoding="utf-8"))
-        section = raw.get("synthetic")
+        section = raw.get("synthetic") if isinstance(raw, dict) else None
         if not section:
             raise ConfigError("config needs a 'synthetic' section")
         spec = _population_spec_from(section)
@@ -157,44 +157,39 @@ def synth(config_path, out):
         raise click.ClickException(str(exc))
 
 
-def _population_spec_from(section: dict) -> "synth_mod.PopulationSpec":
+def _population_spec_from(section) -> "synth_mod.PopulationSpec":
+    """The population a ``synthetic`` section describes; a missing key or a
+    malformed value raises ``ConfigError``."""
     from .data import Attribute, AttributeSchema
 
-    attrs = tuple(
-        Attribute(
-            name=a["name"],
-            categories=tuple(a["categories"]),
-            reference=a["reference"],
+    try:
+        attrs, cases = section["attributes"], section["cases"]
+        schema = AttributeSchema(
+            attributes=tuple(
+                Attribute(a["name"], tuple(a["categories"]), a["reference"])
+                for a in attrs),
+            id_column="respondent_id",
+            answer_columns=tuple(c["id"] for c in cases),
         )
-        for a in section["attributes"]
-    )
-    schema = AttributeSchema(
-        attributes=attrs,
-        id_column="respondent_id",
-        answer_columns=tuple(c["id"] for c in section["cases"]),
-    )
-    marginals = {a["name"]: list(a["marginals"]) for a in section["attributes"]}
-    cases = tuple(
-        synth_mod.CaseSpec(
-            question_id=c["id"],
-            options=tuple(c["options"]),
-            base_probs=tuple(c["probs"]),
-            depends_on=c.get("depends_on"),
-            table=c.get("table"),
+        correctness = section.get("correctness") or {}
+        return synth_mod.PopulationSpec(
+            schema=schema,
+            marginals={a["name"]: list(a["marginals"]) for a in attrs},
+            n=_integer(section["n"], "synthetic.n"),
+            cases=tuple(
+                synth_mod.CaseSpec(c["id"], tuple(c["options"]),
+                                   tuple(c["probs"]), c.get("depends_on"),
+                                   c.get("table"))
+                for c in cases),
+            correctness_intercept=float(correctness.get("intercept", 1.0)),
+            correctness_beta=dict(correctness.get("beta") or {}),
+            unparseable_rate=float(section.get("unparseable_rate", 0.0)),
+            seed=_integer(section.get("seed", 0), "synthetic.seed"),
         )
-        for c in section["cases"]
-    )
-    correctness = section.get("correctness") or {}
-    return synth_mod.PopulationSpec(
-        schema=schema,
-        marginals=marginals,
-        n=int(section["n"]),
-        cases=cases,
-        correctness_intercept=float(correctness.get("intercept", 1.0)),
-        correctness_beta=dict(correctness.get("beta") or {}),
-        unparseable_rate=float(section.get("unparseable_rate", 0.0)),
-        seed=int(section.get("seed", 0)),
-    )
+    except KeyError as exc:
+        raise ConfigError(f"synthetic: missing key {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"synthetic: {exc}") from None
 
 
 @main.command()

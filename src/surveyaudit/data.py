@@ -118,6 +118,19 @@ class CodedView:
         return self.codes[[self.rows[r] for r in respondent_ids]]
 
 
+def distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of a 2-D integer array: each row's number,
+    and the distinct rows in that order (lexicographic, the last column
+    most significant).  Rows are sorted with lexsort: np.unique would
+    import numpy.ma."""
+    order = np.lexsort(codes.T)
+    starts = np.ones(len(codes), dtype=bool)
+    starts[1:] = (codes[order[1:]] != codes[order[:-1]]).any(axis=1)
+    ids = np.empty(len(codes), dtype=np.intp)
+    ids[order] = np.cumsum(starts) - 1
+    return ids, codes[order[starts]]
+
+
 @dataclass(frozen=True)
 class Dataset:
     schema: AttributeSchema
@@ -310,16 +323,3 @@ def save_dataset(dataset: Dataset, csv_path: str | Path, schema_path: str | Path
                     )
                 row[c.question_id] = c.options[c.answers[p.respondent_id]]
             writer.writerow(row)
-
-
-def partition_by(dataset: Dataset, attribute: str) -> list[tuple[str, frozenset[str]]]:
-    """Split respondent ids by one attribute, in schema category order.
-
-    Groups are disjoint and exhaustive; unused categories appear with an
-    empty set so that group enumeration order is stable.
-    """
-    attr = dataset.schema.attribute(attribute)
-    buckets: dict[str, set[str]] = {c: set() for c in attr.categories}
-    for p in dataset.profiles:
-        buckets[p.values[attribute]].add(p.respondent_id)
-    return [(c, frozenset(buckets[c])) for c in attr.categories]

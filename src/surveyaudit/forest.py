@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import AttributeSchema, Dataset, SocioProfile, SurveyCase
+from .data import (AttributeSchema, Dataset, SocioProfile, SurveyCase,
+                   distinct_rows)
 from .errors import SchemaMismatch
 from .gateway import Prediction
 from .metrics import MetricReport, compute_report
@@ -255,13 +256,8 @@ def _grow_lockstep(
     pending = _pending_dtype(C)
 
     # Rows of one profile never part, so every leaf holds a profile of its
-    # own and a tree has at most 2 * profiles - 1 nodes.  Equal rows are
-    # numbered after a lexsort: np.unique would import numpy.ma.
-    order = np.lexsort(active.T)
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = (active[order[1:]] != active[order[:-1]]).any(axis=1)
-    profile = np.empty(n, dtype=np.intp)
-    profile[order] = np.cumsum(starts) - 1
+    # own and a tree has at most 2 * profiles - 1 nodes.
+    profile = distinct_rows(active)[0]
     flat_rows = np.empty(n_trees * n, dtype=np.int32)
     flat_w = np.empty(n_trees * n, dtype=np.int32)
     roots = np.zeros(n_trees, dtype=pending)

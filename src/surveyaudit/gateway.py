@@ -30,6 +30,11 @@ from .prompts import RenderedPrompt
 UNPARSEABLE = None
 
 
+def _is_number(value) -> bool:
+    # a bool is an int to Python, but no number in a config
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     name: str
@@ -47,12 +52,19 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.kind == "remote" and not self.endpoint:
             raise ValueError("remote backends require an endpoint")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        for name, low in (("max_retries", 0), ("parallelism", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if not (_is_number(self.temperature) and 0 <= self.temperature < math.inf):
+            raise ValueError(f"temperature must be a finite number >= 0, "
+                             f"got {self.temperature!r}")
+        if self.rate_limit is not None and not (
+                _is_number(self.rate_limit) and 0 < self.rate_limit < math.inf):
+            raise ValueError(f"rate_limit must be None or a finite number > 0, "
+                             f"got {self.rate_limit!r}")
 
 
 @dataclass(frozen=True)

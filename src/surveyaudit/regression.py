@@ -9,13 +9,14 @@ at the 0.01 / 0.05 / 0.1 levels.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, distinct_rows
 from .errors import CollinearColumn, EmptyDesign, Separation, Singular
 from .gateway import Prediction
 from .metrics import UNPARSED, group_tally
@@ -44,10 +45,13 @@ class ModelSpec:
 
 @dataclass
 class DesignMatrix:
+    """One binomial row per distinct covariate row: ``y`` successes out of
+    ``trials``.  A Bernoulli design has one trial per row."""
+
     X: np.ndarray
     y: np.ndarray
+    trials: np.ndarray
     columns: tuple[str, ...]
-    rows: tuple[tuple[str, str], ...]  # (respondent_id, question_id)
     references: dict[str, str]
 
 
@@ -86,72 +90,63 @@ def build_design(
     spec: ModelSpec,
     policy: str = "incorrect",
 ) -> DesignMatrix:
-    """Assemble the dummy-coded design over all (respondent, question) rows.
+    """Assemble the dummy-coded design, one binomial row per (question,
+    main-effect categories) that holds a scored prediction.
 
-    Reference categories get no column.  Question dummies span every
-    question present and replace the global intercept when fixed effects
-    are on.  Interaction columns are elementwise products of the two
-    non-reference dummies.
+    A logit on categorical regressors has the same likelihood on these rows
+    as on one Bernoulli row per prediction.  Reference categories get no
+    column.  Question dummies span every question present and replace the
+    global intercept when fixed effects are on.  Interaction columns are
+    elementwise products of the two non-reference dummies.
     """
-    case_by_id = {c.question_id: c for c in dataset.cases}
-    truth = np.array([case_by_id[p.question_id].answers[p.respondent_id]
-                      for p in predictions], dtype=np.intp)
+    position = {c.question_id: q for q, c in enumerate(dataset.cases)}
+    truth = np.array([dataset.cases[position[p.question_id]]
+                      .answers[p.respondent_id] for p in predictions],
+                     dtype=np.intp)
     parsed = np.array([UNPARSED if p.parsed is None else p.parsed
                        for p in predictions], dtype=np.intp)
-    # each prediction is its own group: scored 0/1 and correct 0/1
+    attrs = [dataset.schema.names.index(a) for a in spec.main_effects]
+    key = np.column_stack([
+        [position[p.question_id] for p in predictions],
+        dataset.coded.of(p.respondent_id for p in predictions)[:, attrs],
+    ]).astype(np.intp)
+    ids, cells = distinct_rows(key)
     n_options = max((len(c.options) for c in dataset.cases), default=0)
-    outcome = group_tally(np.arange(len(predictions)), len(predictions),
-                          truth, parsed, n_options, policy)
+    outcome = group_tally(ids, len(cells), truth, parsed, n_options, policy)
     keep = np.flatnonzero(outcome.scored)
     if not len(keep):
         raise EmptyDesign("no usable prediction rows")
-    rows = [(predictions[i].respondent_id, predictions[i].question_id)
-            for i in keep]
-
-    qids = np.array([qid for _, qid in rows])
-    questions = [c.question_id for c in dataset.cases
-                 if (qids == c.question_id).any()]
-    codes = dataset.coded.of(rid for rid, _ in rows)
+    cells = cells[keep]
     columns: list[str] = []
     col_data: list[np.ndarray] = []
-    n = len(rows)
 
     if spec.question_fixed_effects:
-        for qid in questions:
-            columns.append(f"question[{qid}]")
-            col_data.append((qids == qid).astype(float))
+        for q, case in enumerate(dataset.cases):
+            col = (cells[:, 0] == q).astype(float)
+            if col.any():
+                columns.append(f"question[{case.question_id}]")
+                col_data.append(col)
     else:
         columns.append("intercept")
-        col_data.append(np.ones(n))
+        col_data.append(np.ones(len(cells)))
 
-    references: dict[str, str] = {}
-    dummy_cols: dict[tuple[str, str], np.ndarray] = {}
-    for attr_name in spec.main_effects:
-        attr = dataset.schema.attribute(attr_name)
-        references[attr_name] = attr.reference
-        j = dataset.schema.names.index(attr_name)
-        for k, cat in enumerate(attr.categories):
-            if cat == attr.reference:
-                continue
-            col = (codes[:, j] == k).astype(float)
-            dummy_cols[(attr_name, cat)] = col
-            columns.append(f"{attr_name}={cat}")
+    # each attribute's non-reference categories and their dummy columns
+    dummies: dict[str, list[tuple[str, np.ndarray]]] = {}
+    for j, name in enumerate(spec.main_effects, start=1):
+        attr = dataset.schema.attribute(name)
+        dummies[name] = [(cat, (cells[:, j] == k).astype(float))
+                         for k, cat in enumerate(attr.categories)
+                         if cat != attr.reference]
+        for cat, col in dummies[name]:
+            columns.append(f"{name}={cat}")
             col_data.append(col)
-
     for a, b in spec.interactions:
-        attr_a = dataset.schema.attribute(a)
-        attr_b = dataset.schema.attribute(b)
-        for ca in attr_a.categories:
-            if ca == attr_a.reference:
-                continue
-            for cb in attr_b.categories:
-                if cb == attr_b.reference:
-                    continue
-                columns.append(f"{a}={ca} x {b}={cb}")
-                col_data.append(dummy_cols[(a, ca)] * dummy_cols[(b, cb)])
+        for (ca, col_a), (cb, col_b) in itertools.product(dummies[a],
+                                                           dummies[b]):
+            columns.append(f"{a}={ca} x {b}={cb}")
+            col_data.append(col_a * col_b)
 
     X = np.column_stack(col_data)
-    y = np.array(outcome.correct, dtype=float)[keep]
 
     zero = [columns[j] for j in range(X.shape[1]) if not X[:, j].any()]
     if zero:
@@ -170,17 +165,12 @@ def build_design(
 
     return DesignMatrix(
         X=X,
-        y=y,
+        y=np.array(outcome.correct, dtype=float)[keep],
+        trials=np.array(outcome.scored, dtype=float)[keep],
         columns=tuple(columns),
-        rows=tuple(rows),
-        references=references,
+        references={name: dataset.schema.attribute(name).reference
+                    for name in spec.main_effects},
     )
-
-
-def _log_likelihood(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    eta = X @ beta
-    # log(1 + e^eta) computed stably
-    return float(y @ eta - np.logaddexp(0.0, eta).sum())
 
 
 def fit_logit(
@@ -188,27 +178,30 @@ def fit_logit(
     max_iter: int = 100,
     tol: float = 1e-8,
 ) -> FitResult:
-    """Newton/IRLS maximum-likelihood fit of the plain unpenalized logit."""
-    X, y = design.X, design.y
+    """Newton/IRLS maximum-likelihood fit of the plain unpenalized logit,
+    each row weighted by its trials."""
+    X, s, m = design.X, design.y, design.trials
     n, p = X.shape
     if n < p:
         raise EmptyDesign(f"{n} rows for {p} columns")
-    if y.min() == y.max():
+    if not s.any() or np.array_equal(s, m):
         raise Separation(
             "outcome is single-class; the logit is unidentified", design.columns
         )
+
+    def information(beta):
+        """The success probability of each row, and the information
+        X' diag(m mu (1 - mu)) X, at ``beta``."""
+        mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
+        return mu, X.T @ (X * (m * mu * (1.0 - mu))[:, None])
 
     beta = np.zeros(p)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        eta = X @ beta
-        mu = 1.0 / (1.0 + np.exp(-eta))
-        w = mu * (1.0 - mu)
-        grad = X.T @ (y - mu)
-        hess = X.T @ (X * w[:, None])
+        mu, hess = information(beta)
         try:
-            step = np.linalg.solve(hess, grad)
+            step = np.linalg.solve(hess, X.T @ (s - m * mu))
         except np.linalg.LinAlgError as exc:
             raise Singular(f"information matrix not invertible: {exc}") from exc
         beta = beta + step
@@ -228,16 +221,14 @@ def fit_logit(
             converged = True
             break
 
-    ll = _log_likelihood(X, y, beta)
+    eta = X @ beta
+    # s * eta - m * log(1 + e^eta), computed stably
+    ll = float(s @ eta - (m * np.logaddexp(0.0, eta)).sum())
     if not math.isfinite(ll):
         raise Separation("non-finite log-likelihood", design.columns)
 
-    eta = X @ beta
-    mu = 1.0 / (1.0 + np.exp(-eta))
-    w = mu * (1.0 - mu)
-    info = X.T @ (X * w[:, None])
     try:
-        cov = np.linalg.inv(info)
+        cov = np.linalg.inv(information(beta)[1])
     except np.linalg.LinAlgError as exc:
         raise Singular(f"information matrix not invertible: {exc}") from exc
     se = np.sqrt(np.diag(cov))
@@ -256,10 +247,6 @@ def fit_logit(
     )
 
 
-def predicted_probabilities(design: DesignMatrix, fit: FitResult) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-(design.X @ fit.beta)))
-
-
 def _format_cell(beta: float, p: float) -> str:
     return f"{beta:.2f} ({p:.3f}){stars_for(p)}"
 
@@ -267,10 +254,7 @@ def _format_cell(beta: float, p: float) -> str:
 def summarize(fit: FitResult, spec: ModelSpec, design: DesignMatrix) -> str:
     """Markdown regression table grouped by attribute, with references
     noted and the interaction block separated."""
-    lines = [
-        f"| Term | Coefficient (p-value) | SE |",
-        f"|---|---|---|",
-    ]
+    lines = ["| Term | Coefficient (p-value) | SE |", "|---|---|---|"]
 
     def row(col: str) -> str:
         j = fit.columns.index(col)

@@ -65,7 +65,10 @@ class ExperimentConfig:
     config_hash: str = ""
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path, seed: Optional[int] = None
+                ) -> ExperimentConfig:
+    """The config at ``path``; ``seed``, when given, replaces the config's
+    seed, and so also the forest seed when ``forest.seed`` is absent."""
     path = Path(path)
     try:
         raw_bytes = path.read_bytes()
@@ -88,12 +91,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not backends:
         raise ConfigError("config needs at least one backend")
 
-    variants = _names(raw, "variants") or [raw.get("variant", "original")]
+    if "variant" in raw and "variants" in raw:
+        raise ConfigError("config gives both variant and variants")
+    variants = (_names(raw, "variants", "variant")
+                or [raw.get("variant", "original")])
     for v in variants:
         if not isinstance(v, str) or v not in _VARIANTS:
             raise ConfigError(f"unknown prompt variant {v!r}")
 
-    seed = _integer(raw.get("seed", 0), "seed")
+    config_seed = _integer(raw.get("seed", 0), "seed")
+    seed = config_seed if seed is None else seed
     fewshot = _convert(dict, raw.get("fewshot") or {}, "fewshot")
     fewshot_k = _integer(fewshot.get("k", DEFAULT_FEWSHOT_K), "fewshot.k")
     forest = _convert(dict, raw.get("forest") or {}, "forest")
@@ -101,11 +108,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
     ablation = raw.get("ablation", False)
     if not isinstance(ablation, bool):
         raise ConfigError(f"ablation: expected bool, got {ablation!r}")
-    case_ids = _names(raw, "cases")
-    if case_ids == []:
-        raise ConfigError("cases: expected at least one question id, got []")
-    tolerance = _convert(float, raw.get("equality_tolerance", 0.05),
-                         "equality_tolerance")
+    case_ids = _names(raw, "cases", "question id")
+    tolerance = raw.get("equality_tolerance", 0.05)
+    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
+        raise ConfigError(f"equality_tolerance: expected float, "
+                          f"got {tolerance!r}")
+    tolerance = float(tolerance)
     if not 0 <= tolerance < math.inf:  # false for nan
         raise ConfigError(f"equality_tolerance: expected a finite number "
                           f">= 0, got {tolerance!r}")
@@ -131,10 +139,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         backends=backends,
         case_ids=case_ids,
         variants=list(variants),
-        masks=list(_names(raw, "masks") or ["all"]),
+        masks=list(_names(raw, "masks", "mask") or ["all"]),
         ablation=ablation,
         fewshot_k=fewshot_k,
-        political=list(_names(raw, "political")
+        political=list(_names(raw, "political", "attribute")
                        or sorted(DEFAULT_POLITICAL)),
         forest_params=forest,
         forest_seed=forest_seed,
@@ -158,12 +166,14 @@ def _is_names(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def _names(raw: dict, key: str) -> Optional[list[str]]:
-    """``raw[key]``, None or a list of strings; any other value raises
-    ``ConfigError`` naming the key."""
+def _names(raw: dict, key: str, what: str) -> Optional[list[str]]:
+    """``raw[key]``, None or a non-empty list of strings; any other value
+    raises ``ConfigError`` naming the key."""
     value = raw.get(key)
     if value is not None and not _is_names(value):
         raise ConfigError(f"{key}: expected a list of names, got {value!r}")
+    if value == []:
+        raise ConfigError(f"{key}: expected at least one {what}, got []")
     return value
 
 

@@ -1,5 +1,6 @@
 import textwrap
 
+import numpy as np
 import pytest
 
 from surveyaudit.data import (
@@ -9,6 +10,24 @@ from surveyaudit.data import (
     SocioProfile,
     SurveyCase,
 )
+
+
+def partition_by(dataset, attribute):
+    """Split respondent ids by one attribute, in schema category order.
+
+    Groups are disjoint and exhaustive; unused categories appear with an
+    empty set so that group enumeration order is stable.
+    """
+    attr = dataset.schema.attribute(attribute)
+    buckets = {c: set() for c in attr.categories}
+    for p in dataset.profiles:
+        buckets[p.values[attribute]].add(p.respondent_id)
+    return [(c, frozenset(buckets[c])) for c in attr.categories]
+
+
+def predicted_probabilities(design, fit):
+    """The fitted success probability of each design row."""
+    return 1.0 / (1.0 + np.exp(-(design.X @ fit.beta)))
 
 
 def make_schema(attrs=None, questions=("vote",)):

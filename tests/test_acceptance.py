@@ -19,12 +19,7 @@ from click.testing import CliRunner
 from mpmath import mp, mpf
 
 from surveyaudit.cli import main as cli_main
-from surveyaudit.data import (
-    Attribute,
-    AttributeSchema,
-    partition_by,
-    save_dataset,
-)
+from surveyaudit.data import Attribute, AttributeSchema, save_dataset
 from surveyaudit.errors import AllUnparseable
 from surveyaudit.forest import ForestParams, baseline_metrics, fit_in_sample, predict
 from surveyaudit.gateway import Prediction
@@ -37,12 +32,7 @@ from surveyaudit.metrics import (
     round_half_away,
 )
 from surveyaudit.prompts import AblationMask, PromptVariant, render
-from surveyaudit.regression import (
-    ModelSpec,
-    build_design,
-    fit_logit,
-    predicted_probabilities,
-)
+from surveyaudit.regression import ModelSpec, build_design, fit_logit
 from surveyaudit.synthetic import (
     CaseSpec,
     PopulationSpec,
@@ -50,7 +40,7 @@ from surveyaudit.synthetic import (
     generate,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, partition_by, predicted_probabilities
 
 
 @pytest.fixture(autouse=True)
@@ -162,9 +152,11 @@ def _planted_population(seed: int):
 
 
 def _finite_difference_se(design, fit):
+    # the binomial log-likelihood: s * eta - m * log(1 + e^eta) per row
     def loglik(beta):
         eta = design.X @ beta
-        return float(design.y @ eta - np.logaddexp(0, eta).sum())
+        return float(design.y @ eta
+                     - (design.trials * np.logaddexp(0, eta)).sum())
 
     p = len(fit.beta)
     h = 1e-5
@@ -196,8 +188,7 @@ def test_logit_oracle():
     from surveyaudit.regression import DesignMatrix
 
     design = DesignMatrix(
-        X=X, y=y, columns=("intercept", "gender=Woman"),
-        rows=tuple(("r", "q") for _ in range(n)),
+        X=X, y=y, trials=np.ones(n), columns=("intercept", "gender=Woman"),
         references={"gender": "Man"},
     )
     fit = fit_logit(design)
@@ -219,8 +210,9 @@ def test_logit_oracle():
             for col, truth in planted.items()
         )
         hits += ok
+        # the weighted score equations X'(s - m * mu) = 0
         mu = predicted_probabilities(design, fit)
-        grad = design.X.T @ (design.y - mu)
+        grad = design.X.T @ (design.y - design.trials * mu)
         assert np.abs(grad).max() < 1e-6
         if run < 2:
             se_fd = _finite_difference_se(design, fit)

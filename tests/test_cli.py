@@ -59,7 +59,7 @@ def write_config(tmp_path, extra="", backends=None, out="out"):
           schema: schema.yaml
         backends:
         {backends}
-        variant: zeroshot
+        variants: [zeroshot]
         fewshot: {{k: 3}}
         political: [ideology]
         forest: {{n_trees: 20, seed: 7}}
@@ -307,6 +307,44 @@ def test_interaction_outside_main_effects_fails_before_any_work(
     ("backends:\n  - {name: r, kind: remote, max_retries: -1,\n"
      "     endpoint: 'http://example.invalid/v1'}\n",
      "Error: backend 'r': max_retries must be >= 0, got -1"),
+    ("backends:\n  - {name: r, kind: remote, max_retries: 2.5,\n"
+     "     endpoint: 'http://example.invalid/v1'}\n",
+     "Error: backend 'r': max_retries must be an integer, got 2.5"),
+    ("backends:\n  - {name: r, kind: remote, max_retries: true,\n"
+     "     endpoint: 'http://example.invalid/v1'}\n",
+     "Error: backend 'r': max_retries must be an integer, got True"),
+    ("backends:\n  - {name: m, kind: mock, parallelism: 1.5}\n",
+     "Error: backend 'm': parallelism must be an integer, got 1.5"),
+    ("backends:\n  - {name: m, kind: mock, parallelism: true}\n",
+     "Error: backend 'm': parallelism must be an integer, got True"),
+    ("backends:\n  - {name: r, kind: remote, rate_limit: -60,\n"
+     "     endpoint: 'http://example.invalid/v1'}\n",
+     "Error: backend 'r': rate_limit must be None or a finite number > 0, "
+     "got -60"),
+    ("backends:\n  - {name: r, kind: remote, rate_limit: fast,\n"
+     "     endpoint: 'http://example.invalid/v1'}\n",
+     "Error: backend 'r': rate_limit must be None or a finite number > 0, "
+     "got 'fast'"),
+    ("backends:\n  - {name: r, kind: remote, rate_limit: .inf,\n"
+     "     endpoint: 'http://example.invalid/v1'}\n",
+     "Error: backend 'r': rate_limit must be None or a finite number > 0, "
+     "got inf"),
+    ("backends:\n  - {name: m, kind: mock, temperature: true}\n",
+     "Error: backend 'm': temperature must be a finite number >= 0, got True"),
+    ("backends:\n  - {name: m, kind: mock, temperature: .nan}\n",
+     "Error: backend 'm': temperature must be a finite number >= 0, got nan"),
+    ("backends:\n  - {name: m, kind: mock, temperature: hot}\n",
+     "Error: backend 'm': temperature must be a finite number >= 0, "
+     "got 'hot'"),
+    ("equality_tolerance: true\n",
+     "Error: equality_tolerance: expected float, got True"),
+    ("equality_tolerance: '0.1'\n",
+     "Error: equality_tolerance: expected float, got '0.1'"),
+    ("variants: []\n", "Error: variants: expected at least one variant, got []"),
+    ("masks: []\n", "Error: masks: expected at least one mask, got []"),
+    ("political: []\n",
+     "Error: political: expected at least one attribute, got []"),
+    ("variant: original\n", "Error: config gives both variant and variants"),
 ], ids=["forest_key", "n_trees", "min_samples_leaf", "max_depth",
         "features_per_split", "backend_name", "backend_kind", "fewshot_k_0",
         "fewshot_k_negative", "variant", "mask", "fewshot_k_above_eligible",
@@ -321,7 +359,12 @@ def test_interaction_outside_main_effects_fails_before_any_work(
         "n_trees_not_int", "n_trees_bool", "seed_float", "seed_bool",
         "fewshot_k_float", "forest_seed_float", "ablation_not_bool",
         "cases_empty", "tolerance_negative", "tolerance_nan",
-        "max_retries_negative"])
+        "max_retries_negative", "max_retries_float", "max_retries_bool",
+        "parallelism_float", "parallelism_bool", "rate_limit_negative",
+        "rate_limit_not_number", "rate_limit_inf", "temperature_bool",
+        "temperature_nan", "temperature_not_number", "tolerance_bool",
+        "tolerance_string", "variants_empty", "masks_empty",
+        "political_empty", "variant_and_variants"])
 def test_config_mistake_fails_before_any_work(tmp_path, monkeypatch, extra,
                                               message):
     # a key repeated in ``extra`` overrides write_config's, as YAML loads it
@@ -412,6 +455,43 @@ def test_synth_command(tmp_path):
     assert result.exit_code == 0, result.output
     assert (tmp_path / "synthout" / "synthetic.csv").exists()
     assert "agree" in result.output
+
+
+@pytest.mark.parametrize("text, message", [
+    ("synthetic:\n  n: 10\n  cases: []\n",
+     "Error: synthetic: missing key 'attributes'"),
+    ("synthetic:\n  n: ten\n  attributes: []\n  cases: []\n",
+     "Error: synthetic.n: expected int, got 'ten'"),
+    ("- synthetic\n", "Error: config needs a 'synthetic' section"),
+], ids=["missing_attributes", "n_not_int", "top_level_list"])
+def test_synth_config_mistake_is_a_cli_error(tmp_path, text, message):
+    cfg = tmp_path / "synth.yaml"
+    cfg.write_text(text)
+    result = CliRunner().invoke(main, ["synth", "--config", str(cfg),
+                                       "--out", str(tmp_path / "synthout")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException
+    assert message in result.output
+
+
+def test_seed_option_also_seeds_the_forest(tmp_path):
+    # with no forest.seed, the forest follows the seed, --seed included
+    write_population(tmp_path)
+    runner = CliRunner()
+    outs = {}
+    for tag, extra, option in (("flag", "", ["--seed", "5"]),
+                               ("config", "seed: 5\n", [])):
+        cfg = write_config(tmp_path, extra="forest: {n_trees: 20}\n" + extra,
+                           out=tag)
+        result = runner.invoke(main, ["run", "--config", str(cfg),
+                                      "--offline", *option])
+        assert result.exit_code == 0, result.output
+        outs[tag] = tmp_path / tag
+    manifests = [json.loads((out / "manifest.json").read_text())
+                 for out in outs.values()]
+    assert [(m["seed"], m["forest_seed"]) for m in manifests] == [(5, 5)] * 2
+    assert ((outs["flag"] / "metrics.json").read_bytes()
+            == (outs["config"] / "metrics.json").read_bytes())
 
 
 def test_config_validation_errors(tmp_path):

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from surveyaudit.data import load_dataset, partition_by, save_dataset
+from surveyaudit.data import distinct_rows, load_dataset, save_dataset
 from surveyaudit.errors import (
     DuplicateRespondent,
     EmptyDataset,
@@ -9,7 +10,7 @@ from surveyaudit.errors import (
     UnknownCategory,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, partition_by
 
 
 def test_load_well_formed(csv_file, schema_yaml):
@@ -123,3 +124,15 @@ def test_partition_sizes_sum_over_synthetic_populations():
         for attr in ds.schema.names:
             assert sum(len(ids) for _, ids in partition_by(ds, attr)) == n
 
+
+
+def test_distinct_rows_numbers_equal_rows_alike():
+    rng = np.random.default_rng(5)
+    codes = rng.integers(0, 3, size=(200, 3))
+    ids, rows = distinct_rows(codes)
+    assert np.array_equal(rows[ids], codes)
+    assert len({tuple(r) for r in rows}) == len(rows)
+    # lexicographic order, the last column most significant
+    assert [tuple(r[::-1]) for r in rows] == sorted(tuple(r[::-1]) for r in rows)
+    ids, rows = distinct_rows(np.empty((0, 2), dtype=np.intp))
+    assert ids.shape == (0,) and rows.shape == (0, 2)

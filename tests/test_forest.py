@@ -24,7 +24,7 @@ from surveyaudit.forest import (
 from surveyaudit.runner import load_config, run_experiment
 from surveyaudit.synthetic import CaseSpec, PopulationSpec, generate
 
-from conftest import make_dataset
+from conftest import make_dataset, partition_by
 
 FAST = ForestParams(n_trees=30)
 
@@ -124,8 +124,6 @@ def test_per_group_accuracy_at_least_group_majority():
     )
     case = ds.cases[0]
     report, _ = baseline_metrics(ds, case, ForestParams(n_trees=60), seed=4)
-    from surveyaudit.data import partition_by
-
     for attr in ds.schema.names:
         for cat, ids in partition_by(ds, attr):
             if not ids:

@@ -11,13 +11,12 @@ from surveyaudit.regression import (
     ModelSpec,
     build_design,
     fit_logit,
-    predicted_probabilities,
     stars_for,
     summarize,
     to_csv_rows,
 )
 
-from conftest import make_dataset, make_schema
+from conftest import make_dataset, make_schema, predicted_probabilities
 
 
 def saturated_design(n_ref=200, n_grp=200, acc_ref=0.5, acc_grp=0.75):
@@ -30,9 +29,8 @@ def saturated_design(n_ref=200, n_grp=200, acc_ref=0.5, acc_grp=0.75):
     dummy = np.concatenate([np.zeros(n_ref), np.ones(n_grp)])
     X = np.column_stack([np.ones(n_ref + n_grp), dummy])
     return DesignMatrix(
-        X=X, y=y, columns=("intercept", "gender=Woman"),
-        rows=tuple(("r", "q") for _ in range(n_ref + n_grp)),
-        references={"gender": "Man"},
+        X=X, y=y, trials=np.ones(n_ref + n_grp),
+        columns=("intercept", "gender=Woman"), references={"gender": "Man"},
     )
 
 
@@ -47,8 +45,8 @@ def test_null_design_closed_form():
     n = 1000
     y = np.concatenate([np.ones(700), np.zeros(300)])
     design = DesignMatrix(
-        X=np.ones((n, 1)), y=y, columns=("question[q1]",),
-        rows=tuple(("r", "q1") for _ in range(n)), references={},
+        X=np.ones((n, 1)), y=y, trials=np.ones(n), columns=("question[q1]",),
+        references={},
     )
     fit = fit_logit(design)
     assert abs(fit.coef("question[q1]") - math.log(0.7 / 0.3)) < 1e-8
@@ -250,3 +248,102 @@ def test_csv_rows_complete():
     assert {r["term"] for r in rows} == {"intercept", "gender=Woman"}
     for r in rows:
         assert set(r) == {"term", "estimate", "se", "z", "p", "stars"}
+
+
+def _bernoulli_design(dataset, predictions, spec, policy):
+    """The design on one Bernoulli row per scored prediction, written
+    independently of ``build_design``: the oracle for its binomial rows."""
+    scored = [p for p in predictions
+              if policy == "incorrect" or p.parsed is not None]
+    y = np.array([p.parsed == dataset.case(p.question_id)
+                  .answers[p.respondent_id] for p in scored], dtype=float)
+    qids = np.array([p.question_id for p in scored])
+    codes = dataset.coded.of(p.respondent_id for p in scored)
+    columns = {}
+    if spec.question_fixed_effects:
+        for case in dataset.cases:
+            if (qids == case.question_id).any():
+                columns[f"question[{case.question_id}]"] = (
+                    qids == case.question_id).astype(float)
+    else:
+        columns["intercept"] = np.ones(len(scored))
+    dummies = {}
+    for name in spec.main_effects:
+        attr = dataset.schema.attribute(name)
+        j = dataset.schema.names.index(name)
+        dummies[name] = [(cat, (codes[:, j] == k).astype(float))
+                         for k, cat in enumerate(attr.categories)
+                         if cat != attr.reference]
+        columns.update((f"{name}={cat}", col) for cat, col in dummies[name])
+    for a, b in spec.interactions:
+        for ca, col_a in dummies[a]:
+            for cb, col_b in dummies[b]:
+                columns[f"{a}={ca} x {b}={cb}"] = col_a * col_b
+    return DesignMatrix(
+        X=np.column_stack(list(columns.values())), y=y,
+        trials=np.ones(len(scored)), columns=tuple(columns),
+        references={n: dataset.schema.attribute(n).reference
+                    for n in spec.main_effects},
+    )
+
+
+def _three_attribute_population(seed):
+    from surveyaudit.synthetic import CaseSpec, PopulationSpec, generate
+
+    schema = make_schema(
+        attrs=[("gender", ("Man", "Woman"), "Man"),
+               ("age", ("Young", "Adult", "Senior"), "Adult"),
+               ("religion", ("None", "Christian", "Other"), "None")],
+        questions=("vote", "trust"))
+    return generate(PopulationSpec(
+        schema=schema,
+        marginals={"gender": [0.5, 0.5], "age": [0.3, 0.4, 0.3],
+                   "religion": [0.4, 0.4, 0.2]},
+        n=400,
+        cases=(CaseSpec("vote", ("A", "B"), (0.6, 0.4)),
+               CaseSpec("trust", ("Low", "Mid", "High"), (0.3, 0.4, 0.3))),
+        correctness_intercept=0.6,
+        correctness_beta={"gender=Woman": -0.4, "age=Senior": 0.5},
+        unparseable_rate=0.15,
+        seed=seed,
+    ))
+
+
+@pytest.mark.parametrize("policy", ["incorrect", "exclude"])
+@pytest.mark.parametrize("spec", [
+    ModelSpec(main_effects=("gender", "age", "religion")),
+    ModelSpec(main_effects=("gender", "age"),
+              interactions=(("gender", "age"),)),
+    ModelSpec(main_effects=("religion", "gender"),
+              question_fixed_effects=False),
+], ids=["mains", "interaction", "no_question_effects"])
+def test_binomial_rows_fit_like_bernoulli_rows(policy, spec):
+    for seed in (1, 2):
+        ds, preds = _three_attribute_population(seed)
+        binomial = build_design(ds, preds, spec, policy=policy)
+        bernoulli = _bernoulli_design(ds, preds, spec, policy)
+        assert binomial.columns == bernoulli.columns
+        assert binomial.references == bernoulli.references
+        assert binomial.trials.sum() == len(bernoulli.y)
+        assert binomial.y.sum() == bernoulli.y.sum()
+        assert len(binomial.y) < len(bernoulli.y)
+        fit, oracle = fit_logit(binomial), fit_logit(bernoulli)
+        assert np.allclose(fit.beta, oracle.beta, rtol=1e-9, atol=0)
+        assert np.allclose(fit.se, oracle.se, rtol=1e-9, atol=0)
+        assert math.isclose(fit.log_likelihood, oracle.log_likelihood,
+                            rel_tol=1e-9)
+
+
+def test_binomial_single_class_rejected():
+    X = np.column_stack([np.ones(3), [0.0, 1.0, 1.0]])
+    for y in ([0.0, 0.0, 0.0], [2.0, 5.0, 1.0]):
+        design = DesignMatrix(X=X, y=np.array(y),
+                              trials=np.array([2.0, 5.0, 1.0]),
+                              columns=("intercept", "g=1"), references={})
+        with pytest.raises(Separation):
+            fit_logit(design)
+    # one success out of 2 trials at g=0, five of six at g=1
+    design.y[:] = [1.0, 4.0, 1.0]
+    fit = fit_logit(design)
+    assert abs(fit.coef("intercept")) < 1e-9
+    assert abs(fit.coef("g=1") - math.log(5)) < 1e-9
