@@ -61,12 +61,6 @@ class RateLimited(SurveyAuditError):
     pass
 
 
-# --- forest baseline ---
-
-class SchemaMismatch(SurveyAuditError):
-    pass
-
-
 # --- metrics ---
 
 class EmptyPredictions(SurveyAuditError):

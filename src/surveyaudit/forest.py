@@ -27,9 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import (AttributeSchema, Dataset, SocioProfile, SurveyCase,
-                   distinct_rows)
-from .errors import SchemaMismatch
+from .data import AttributeSchema, Dataset, SurveyCase, distinct_rows
 from .gateway import Prediction
 from .metrics import MetricReport, compute_report
 
@@ -93,22 +91,6 @@ def _columns(schema: AttributeSchema) -> tuple[np.ndarray, np.ndarray]:
     """Each attribute's first one-hot column, and each column's attribute."""
     sizes = [len(a.categories) for a in schema.attributes]
     return np.cumsum([0] + sizes[:-1]), np.repeat(np.arange(len(sizes)), sizes)
-
-
-def _codes(schema: AttributeSchema,
-           profiles: Sequence[SocioProfile]) -> np.ndarray:
-    """(profiles x attributes) category index, as in ``Dataset.coded``."""
-    codes = np.empty((len(profiles), len(schema.attributes)), dtype=np.intp)
-    for j, attr in enumerate(schema.attributes):
-        for i, profile in enumerate(profiles):
-            code = attr.index.get(profile.values.get(attr.name))
-            if code is None:
-                raise SchemaMismatch(
-                    f"profile {profile.respondent_id!r} does not match the "
-                    f"training schema at attribute {attr.name!r}"
-                )
-            codes[i, j] = code
-    return codes
 
 
 def _gini(counts: Sequence[float], n: float) -> float:
@@ -461,18 +443,18 @@ def fit_in_sample(
     )
 
 
-def predict(model: ForestModel, profiles: Sequence[SocioProfile]) -> list[int]:
-    """Majority vote over trees for every profile; ties break to the lowest
-    option index.
+def predict(model: ForestModel, codes: np.ndarray) -> list[int]:
+    """Majority vote over trees for every row of category codes, rows as
+    ``Dataset.coded`` holds them; ties break to the lowest option index.
 
-    The trees go in passes of up to ``_PREDICT_PAIRS`` (tree, profile)
-    pairs.  A pass stacks the node tables of its trees, and all its pairs
-    descend together, one level per step, each following the profile's
-    active column per attribute.
+    The trees go in passes of up to ``_PREDICT_PAIRS`` (tree, row) pairs.
+    A pass stacks the node tables of its trees, and all its pairs descend
+    together, one level per step, each following the row's active column
+    per attribute.
     """
     offsets, attribute_of = _columns(model.schema)
-    active = _codes(model.schema, profiles) + offsets
-    n, C = len(profiles), model.n_classes
+    active = codes + offsets
+    n, C = len(codes), model.n_classes
     votes = np.zeros(n * C, dtype=np.int64)
     per_pass = max(1, _PREDICT_PAIRS // max(n, 1))
     for a in range(0, len(model.trees), per_pass):
@@ -512,7 +494,6 @@ def baseline_metrics(
     battery applied to model predictions."""
     model = fit_in_sample(dataset, case, params, seed)
     ids = dataset.answered(case)[0]
-    answered = [dataset.profile(rid) for rid in ids]
     predictions = [
         Prediction(
             respondent_id=rid,
@@ -521,7 +502,7 @@ def baseline_metrics(
             raw_text="",
             parsed=parsed,
         )
-        for rid, parsed in zip(ids, predict(model, answered))
+        for rid, parsed in zip(ids, predict(model, dataset.coded.of(ids)))
     ]
     report = compute_report(dataset, predictions, case, backend="in_sample_forest")
     return report, model

@@ -10,7 +10,7 @@ unparseable policy ("incorrect" or "exclude") is applied.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -89,18 +89,35 @@ def group_tally(
     )
 
 
-def _outcomes(
-    predictions: Sequence[Prediction], case: SurveyCase
-) -> tuple[np.ndarray, np.ndarray]:
-    """True and parsed option of each prediction, as integer codes."""
+def outcome_codes(
+    predictions: Sequence[Prediction], cases: Sequence[SurveyCase]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The position of each prediction's question in ``cases``, and its
+    true and parsed option, as integer codes.
+
+    A prediction whose question is not among ``cases``, or whose
+    respondent has no true answer for it, raises ``UnknownRespondent``
+    naming the question or the respondent.
+    """
+    position = {c.question_id: q for q, c in enumerate(cases)}
     try:
-        truth = [case.answers[p.respondent_id] for p in predictions]
+        where = [position[p.question_id] for p in predictions]
     except KeyError as exc:
         raise UnknownRespondent(
-            f"no true answer for {exc.args[0]!r} in case {case.question_id!r}"
-        ) from None
+            f"question {exc.args[0]!r} is not among the scored cases "
+            f"{list(position)}") from None
+    answers = [c.answers for c in cases]
+    try:
+        truth = [answers[q][p.respondent_id]
+                 for q, p in zip(where, predictions)]
+    except KeyError as exc:
+        qid = next(p.question_id for q, p in zip(where, predictions)
+                   if p.respondent_id not in answers[q])
+        raise UnknownRespondent(
+            f"no true answer for {exc.args[0]!r} in case {qid!r}") from None
     parsed = [UNPARSED if p.parsed is None else p.parsed for p in predictions]
-    return np.array(truth, dtype=np.intp), np.array(parsed, dtype=np.intp)
+    return (np.array(where, dtype=np.intp), np.array(truth, dtype=np.intp),
+            np.array(parsed, dtype=np.intp))
 
 
 def _scores(
@@ -127,7 +144,7 @@ def accuracy(
     """Share of correct predictions (correct count over total count)."""
     if not predictions:
         raise EmptyPredictions("no predictions to score")
-    answers, parsed = _outcomes(predictions, truth)
+    _, answers, parsed = outcome_codes(predictions, (truth,))
     tally = group_tally(np.zeros(len(parsed), np.intp), 1, answers, parsed,
                         len(truth.options), policy)
     if tally.scored[0] == 0:
@@ -191,7 +208,6 @@ class EqualityVerdict:
     satisfied: bool
     max_gap: float
     tolerance: float
-    gaps: dict
     group_sizes: dict
 
 
@@ -203,22 +219,16 @@ def overall_accuracy_equality(
     """Check equal prediction accuracy across groups.
 
     Keys may be single categories or tuples of categories (intersection
-    cells).  Groups with accuracy None (no members) are ignored.
+    cells).  Groups with accuracy None (no members) are ignored.  The
+    largest pairwise gap is the spread between the best and the worst
+    group.
     """
-    usable = {g: a for g, a in per_group_acc.items() if a is not None}
-    gaps = {}
-    max_gap = 0.0
-    keys = list(usable)
-    for i, g in enumerate(keys):
-        for h in keys[i + 1:]:
-            gap = abs(usable[g] - usable[h])
-            gaps[(g, h)] = gap
-            max_gap = max(max_gap, gap)
+    usable = [a for a in per_group_acc.values() if a is not None]
+    max_gap = max(usable) - min(usable) if usable else 0.0
     return EqualityVerdict(
         satisfied=max_gap <= tolerance,
         max_gap=max_gap,
         tolerance=tolerance,
-        gaps=gaps,
         group_sizes=dict(group_sizes or {}),
     )
 
@@ -253,22 +263,8 @@ class MetricReport:
     relative: Optional[dict[str, float]] = None
 
     def to_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "backend": self.backend,
-            "accuracy": self.accuracy,
-            "jss": self.jss,
-            "weighted_jss": self.weighted_jss,
-            "jss_weighted_mean": self.jss_weighted_mean,
-            "per_group_accuracy": self.per_group_accuracy,
-            "per_group_jss": self.per_group_jss,
-            "group_sizes": self.group_sizes,
-            "n_total": self.n_total,
-            "n_correct": self.n_correct,
-            "n_unparseable": self.n_unparseable,
-            "flagged_groups": [list(t) for t in self.flagged_groups],
-            "relative": self.relative,
-        }
+        """Every field by name; the values are shared, not copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def compute_report(
@@ -285,7 +281,7 @@ def compute_report(
     """
     if not predictions:
         raise EmptyPredictions("no predictions to report on")
-    answers, parsed = _outcomes(predictions, case)
+    _, answers, parsed = outcome_codes(predictions, (case,))
     if (parsed == UNPARSED).all():
         raise AllUnparseable(
             "every prediction is unparseable under 'exclude'"
@@ -305,8 +301,9 @@ def unparsed_report(
     is flagged."""
     if not predictions:
         raise EmptyPredictions("no predictions to report on")
+    _, answers, parsed = outcome_codes(predictions, (case,))
     return _report(dataset, predictions, case, backend, POLICY_INCORRECT,
-                   *_outcomes(predictions, case))
+                   answers, parsed)
 
 
 def _report(
@@ -377,10 +374,10 @@ def intersection_accuracy(
     """
     schema = dataset.schema
     a, b = schema.attribute(attr_a), schema.attribute(attr_b)
+    _, answers, parsed = outcome_codes(predictions, (case,))
     codes = dataset.coded.of(p.respondent_id for p in predictions)
     cells = (codes[:, schema.names.index(attr_a)] * len(b.categories)
              + codes[:, schema.names.index(attr_b)])
-    answers, parsed = _outcomes(predictions, case)
     tally = group_tally(cells, len(a.categories) * len(b.categories), answers,
                         parsed, len(case.options), policy)
     keys = list(itertools.product(a.categories, b.categories))

@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset, distinct_rows
 from .errors import CollinearColumn, EmptyDesign, Separation, Singular
 from .gateway import Prediction
-from .metrics import UNPARSED, group_tally
+from .metrics import group_tally, outcome_codes
 
 SEPARATION_BETA = 30.0
 
@@ -99,17 +99,12 @@ def build_design(
     global intercept when fixed effects are on.  Interaction columns are
     elementwise products of the two non-reference dummies.
     """
-    position = {c.question_id: q for q, c in enumerate(dataset.cases)}
-    truth = np.array([dataset.cases[position[p.question_id]]
-                      .answers[p.respondent_id] for p in predictions],
-                     dtype=np.intp)
-    parsed = np.array([UNPARSED if p.parsed is None else p.parsed
-                       for p in predictions], dtype=np.intp)
+    question, truth, parsed = outcome_codes(predictions, dataset.cases)
     attrs = [dataset.schema.names.index(a) for a in spec.main_effects]
     key = np.column_stack([
-        [position[p.question_id] for p in predictions],
+        question,
         dataset.coded.of(p.respondent_id for p in predictions)[:, attrs],
-    ]).astype(np.intp)
+    ])
     ids, cells = distinct_rows(key)
     n_options = max((len(c.options) for c in dataset.cases), default=0)
     outcome = group_tally(ids, len(cells), truth, parsed, n_options, policy)

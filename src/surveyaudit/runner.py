@@ -83,10 +83,10 @@ def load_config(path: str | Path, seed: Optional[int] = None
     if unknown:
         raise ConfigError(f"config: unknown fields {sorted(map(str, unknown))}")
 
-    ds = _convert(dict, raw.get("dataset") or {}, "dataset")
+    ds = _mapping(raw.get("dataset") or {}, "dataset")
     if "csv" not in ds or "schema" not in ds:
         raise ConfigError("config needs dataset.csv and dataset.schema")
-    backends = [_convert(dict, entry, "backend entry")
+    backends = [_mapping(entry, "backend entry")
                 for entry in _list(raw, "backends")]
     if not backends:
         raise ConfigError("config needs at least one backend")
@@ -101,9 +101,9 @@ def load_config(path: str | Path, seed: Optional[int] = None
 
     config_seed = _integer(raw.get("seed", 0), "seed")
     seed = config_seed if seed is None else seed
-    fewshot = _convert(dict, raw.get("fewshot") or {}, "fewshot")
+    fewshot = _mapping(raw.get("fewshot") or {}, "fewshot")
     fewshot_k = _integer(fewshot.get("k", DEFAULT_FEWSHOT_K), "fewshot.k")
-    forest = _convert(dict, raw.get("forest") or {}, "forest")
+    forest = _mapping(raw.get("forest") or {}, "forest")
     forest_seed = _integer(forest.pop("seed", seed), "forest.seed")
     ablation = raw.get("ablation", False)
     if not isinstance(ablation, bool):
@@ -122,7 +122,7 @@ def load_config(path: str | Path, seed: Optional[int] = None
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(
                 f"equality_pairs: a pair names two attributes, got {pair!r}")
-    regressions = [_convert(dict, entry, "regression entry")
+    regressions = [_mapping(entry, "regression entry")
                    for entry in _list(raw, "regressions")]
 
     base = path.parent
@@ -194,12 +194,12 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _convert(kind, value, what: str):
-    """``kind(value)``, or a ``ConfigError`` naming ``what``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}") from None
+def _mapping(value, what: str) -> dict:
+    """A copy of ``value`` when it is a YAML mapping, else a ``ConfigError``
+    naming ``what``: a list of pairs is no mapping."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what}: expected dict, got {value!r}")
+    return dict(value)
 
 
 def _parse_mask(text: str, political: frozenset[str],

@@ -238,7 +238,7 @@ def test_forest_ceiling():
     model = fit_in_sample(noiseless, case, params, seed=0)
     assert all(
         y == case.answers[p.respondent_id]
-        for p, y in zip(noiseless.profiles, predict(model, noiseless.profiles))
+        for p, y in zip(noiseless.profiles, predict(model, noiseless.coded.codes))
     )
 
     params = ForestParams(n_trees=150)

@@ -345,6 +345,18 @@ def test_interaction_outside_main_effects_fails_before_any_work(
     ("political: []\n",
      "Error: political: expected at least one attribute, got []"),
     ("variant: original\n", "Error: config gives both variant and variants"),
+    ("dataset: [[csv, data.csv], [schema, schema.yaml]]\n",
+     "Error: dataset: expected dict, got [['csv', 'data.csv'], "
+     "['schema', 'schema.yaml']]"),
+    ("fewshot: [[k, 3]]\n", "Error: fewshot: expected dict, got [['k', 3]]"),
+    ("forest: [[n_trees, 7]]\n",
+     "Error: forest: expected dict, got [['n_trees', 7]]"),
+    ("backends:\n  - [[name, m], [kind, mock]]\n",
+     "Error: backend entry: expected dict, got [['name', 'm'], "
+     "['kind', 'mock']]"),
+    ("regressions:\n  - [[name, m1], [main_effects, [gender]]]\n",
+     "Error: regression entry: expected dict, got [['name', 'm1'], "
+     "['main_effects', ['gender']]]"),
 ], ids=["forest_key", "n_trees", "min_samples_leaf", "max_depth",
         "features_per_split", "backend_name", "backend_kind", "fewshot_k_0",
         "fewshot_k_negative", "variant", "mask", "fewshot_k_above_eligible",
@@ -364,7 +376,9 @@ def test_interaction_outside_main_effects_fails_before_any_work(
         "rate_limit_not_number", "rate_limit_inf", "temperature_bool",
         "temperature_nan", "temperature_not_number", "tolerance_bool",
         "tolerance_string", "variants_empty", "masks_empty",
-        "political_empty", "variant_and_variants"])
+        "political_empty", "variant_and_variants", "dataset_pairs",
+        "fewshot_pairs", "forest_pairs", "backend_entry_pairs",
+        "regression_entry_pairs"])
 def test_config_mistake_fails_before_any_work(tmp_path, monkeypatch, extra,
                                               message):
     # a key repeated in ``extra`` overrides write_config's, as YAML loads it
@@ -378,21 +392,32 @@ TRACED = ("load_dataset", "render_case_prompts", "sample_fewshot", "render",
           "build_design", "fit_logit", "write_bundle")
 
 
+# The names it wraps on forest and metrics, by the module each is looked
+# up in: forest imported compute_report by name.
+TRACED_ELSEWHERE = (
+    (runner_mod.forest_mod, ("baseline_metrics", "fit_in_sample", "predict",
+                             "compute_report")),
+    (runner_mod.metrics_mod, ("compute_report", "overall_accuracy_equality")),
+)
+
+
 def test_run_calls_the_traced_names(tmp_path, monkeypatch):
     calls = []
 
     def count(owner, name):
         fn = getattr(owner, name)
+        label = f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
 
         def counted(*args, **kwargs):
-            calls.append(name)
+            calls.append(label)
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
+        return label
 
-    for name in TRACED:
-        count(runner_mod, name)
-    count(runner_mod.forest_mod, "baseline_metrics")
+    expected = {count(runner_mod, name) for name in TRACED}
+    for owner, names in TRACED_ELSEWHERE:
+        expected |= {count(owner, name) for name in names}
     write_population(tmp_path)
     cfg = write_config(tmp_path, extra=textwrap.dedent("""\
         variants: [original]
@@ -401,7 +426,7 @@ def test_run_calls_the_traced_names(tmp_path, monkeypatch):
           - {name: model1, main_effects: [gender]}
     """))
     run_experiment(load_config(cfg), offline=True)
-    assert set(calls) == {*TRACED, "baseline_metrics"}
+    assert set(calls) == expected
 
 
 def test_run_renders_each_prompt_once(tmp_path, monkeypatch):
@@ -626,6 +651,30 @@ def test_regress_refuses_a_log_with_a_backend_failure(tmp_path):
     assert ("backend 'mock' failed on case 'vote' (zeroshot, All): "
             "1 of 120 prompts failed: backend failure: endpoint timed out"
             ) in result.output
+    assert not (tmp_path / "refit").exists()
+
+
+def test_regress_names_an_unknown_respondent(tmp_path):
+    write_population(tmp_path)
+    cfg = write_config(tmp_path, extra=textwrap.dedent("""\
+        regressions:
+          - {name: model1, main_effects: [gender]}
+    """))
+    runner = CliRunner()
+    assert runner.invoke(main, ["run", "--config", str(cfg),
+                                "--offline"]).exit_code == 0
+    log = tmp_path / "out" / "predictions.jsonl"
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    records[0]["respondent_id"] = "nosuch"
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    result = runner.invoke(main, [
+        "regress", "--config", str(cfg), "--out", str(tmp_path / "refit"),
+        "--predictions", str(log)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException
+    assert ("Error: no true answer for 'nosuch' in case 'vote'"
+            in result.output)
+    assert "Traceback" not in result.output
     assert not (tmp_path / "refit").exists()
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from surveyaudit.data import distinct_rows, load_dataset, save_dataset
+from surveyaudit.data import (Dataset, SocioProfile, distinct_rows,
+                              load_dataset, save_dataset)
 from surveyaudit.errors import (
     DuplicateRespondent,
     EmptyDataset,
@@ -124,6 +125,15 @@ def test_partition_sizes_sum_over_synthetic_populations():
         for attr in ds.schema.names:
             assert sum(len(ids) for _, ids in partition_by(ds, attr)) == n
 
+
+
+def test_dataset_refuses_an_off_schema_profile():
+    # the coded view is built with the dataset, so nothing downstream
+    # meets a value outside the schema
+    ds = make_dataset(n=4)
+    alien = SocioProfile("x", {"gender": "Man", "age": "Toddler"})
+    with pytest.raises(ValueError, match="'Toddler' not a category of 'age'"):
+        Dataset(ds.schema, ds.profiles + (alien,), ds.cases)
 
 
 def test_distinct_rows_numbers_equal_rows_alike():

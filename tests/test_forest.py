@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import surveyaudit.forest as forest_mod
-from surveyaudit.data import Attribute, AttributeSchema, SocioProfile, save_dataset
-from surveyaudit.errors import SchemaMismatch
+from surveyaudit.data import Attribute, AttributeSchema, save_dataset
 from surveyaudit.forest import (
     LOCKSTEP_MIN_TREES,
     ForestParams,
@@ -42,7 +41,7 @@ def test_noiseless_mapping_memorized():
     ds = noiseless_dataset()
     case = ds.cases[0]
     model = fit_in_sample(ds, case, FAST, seed=3)
-    predicted = predict(model, ds.profiles)
+    predicted = predict(model, ds.coded.codes)
     correct = sum(
         y == case.answers[p.respondent_id] for p, y in zip(ds.profiles, predicted)
     )
@@ -55,7 +54,7 @@ def test_degenerate_single_class():
     case = ds.cases[0]
     model = fit_in_sample(ds, case, FAST, seed=1)
     assert model.degenerate
-    assert all(y == 0 for y in predict(model, ds.profiles))
+    assert all(y == 0 for y in predict(model, ds.coded.codes))
 
 
 def test_same_seed_identical_predictions():
@@ -64,16 +63,8 @@ def test_same_seed_identical_predictions():
     case = ds.cases[0]
     a = fit_in_sample(ds, case, FAST, seed=9)
     b = fit_in_sample(ds, case, FAST, seed=9)
-    for ya, yb in zip(predict(a, ds.profiles), predict(b, ds.profiles)):
+    for ya, yb in zip(predict(a, ds.coded.codes), predict(b, ds.coded.codes)):
         assert ya == yb
-
-
-def test_schema_mismatch():
-    ds = noiseless_dataset(40)
-    model = fit_in_sample(ds, ds.cases[0], FAST, seed=0)
-    alien = SocioProfile("x", {"gender": "Man", "age": "Toddler"})
-    with pytest.raises(SchemaMismatch):
-        predict(model, [alien])
 
 
 def test_in_sample_beats_majority_share():
@@ -346,8 +337,8 @@ def test_lockstep_trees_equal_tree_by_tree_trees(bounded, monkeypatch):
         for a, b in zip(small.trees, large.trees[:8]):
             assert a.nodes.dtype == b.nodes.dtype
             assert np.array_equal(a.nodes, b.nodes)
-        assert predict(large, ds.profiles) == _reference_predict(large, X)
-        assert predict(small, ds.profiles) == _reference_predict(small, X)
+        assert predict(large, ds.coded.codes) == _reference_predict(large, X)
+        assert predict(small, ds.coded.codes) == _reference_predict(small, X)
 
 
 def test_forest_heavy_bundle_bytes_pinned(tmp_path):

@@ -196,6 +196,17 @@ def test_weighted_matches_brute_force():
         assert abs(mine - oracle["weighted_jss"][attr]) < 1e-12
 
 
+def test_report_refuses_a_prediction_of_another_question():
+    # it would otherwise be scored against the case's answers
+    ds = make_dataset(n=6)
+    case = ds.cases[0]
+    preds = preds_for(ds, lambda i, p: 0)
+    preds[2] = Prediction(preds[2].respondent_id, "other", "t", "", 0)
+    with pytest.raises(UnknownRespondent, match="question 'other' is not "
+                       "among the scored cases \\['vote'\\]"):
+        compute_report(ds, preds, case)
+
+
 # --- relative ratio ---
 
 def test_relative_ratio_published_cells():
@@ -240,6 +251,20 @@ def test_equality_intersection_keys():
         {("Man", "Young Adult"): 0.74, ("Woman", "Young Adult"): 0.64}, 0.05
     )
     assert not v.satisfied
+
+
+accuracies = st.one_of(st.none(), st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                       st.floats(0.0, 1.0))
+
+
+@given(st.dictionaries(st.text(max_size=3), accuracies, max_size=8),
+       st.floats(0.0, 1.0))
+def test_equality_max_gap_is_largest_pairwise_gap(per_group, tolerance):
+    usable = [a for a in per_group.values() if a is not None]
+    brute = max((abs(a - b) for a in usable for b in usable), default=0.0)
+    v = overall_accuracy_equality(per_group, tolerance)
+    assert v.max_gap == brute
+    assert v.satisfied == (brute <= tolerance)
 
 
 # --- harmonic mean ---

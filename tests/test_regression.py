@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from surveyaudit.data import Attribute
-from surveyaudit.errors import CollinearColumn, EmptyDesign, Separation
+from surveyaudit.errors import (CollinearColumn, EmptyDesign, Separation,
+                               UnknownRespondent)
 from surveyaudit.gateway import Prediction
 from surveyaudit.regression import (
     DesignMatrix,
@@ -160,6 +161,18 @@ def test_build_design_empty():
     ds = make_dataset(n=5)
     with pytest.raises(EmptyDesign):
         build_design(ds, [], ModelSpec(main_effects=("gender",)))
+
+
+def test_build_design_refuses_an_unplaced_prediction():
+    ds = make_dataset(n=6)
+    case = ds.cases[0]
+    other = [Prediction("r001", "other", "t", "", 0)]
+    with pytest.raises(UnknownRespondent, match="question 'other'"):
+        build_design(ds, other, ModelSpec(main_effects=("gender",)))
+    stranger = [Prediction("zz", case.question_id, "t", "", 0)]
+    with pytest.raises(UnknownRespondent,
+                       match="no true answer for 'zz' in case 'vote'"):
+        build_design(ds, stranger, ModelSpec(main_effects=("gender",)))
 
 
 def test_build_design_collinear_detected():
