@@ -13,11 +13,9 @@ the classes of all its rows, weighted by bootstrap multiplicity, for every
 feature at once with one ``np.bincount``; a feature's right side is its
 tally and its left side the node total minus it.
 
-A forest of ``LOCKSTEP_MIN_TREES`` trees or more is grown in lockstep
-(``_grow_lockstep``): one vectorised step builds the next pre-order node of
-every tree.  Smaller forests grow tree by tree (``_grow_tree``), because a
-lockstep step has a fixed cost that only many trees amortise.  Both build
-the same trees.
+All trees of a forest grow level by level (``_grow_forest``): one
+vectorised step scans every node at the current depth of every tree, so
+the steps are as many as the deepest tree has levels.
 """
 
 from __future__ import annotations
@@ -51,13 +49,8 @@ class ForestParams:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-# Forests of at least this many trees grow in lockstep.  A lockstep step
-# has a fixed cost that only many trees amortise; the crossover is measured
-# in README.md ("The forest ceiling").
-LOCKSTEP_MIN_TREES = 20
-# permutations a tree draws at a time in lockstep
-_PERMUTATIONS = 32
-# bound on the (row, attribute) codes one lockstep tally gathers
+# bound on the (row, attribute) codes plus (column, class) gain cells one
+# tally gathers
 _TALLY_CODES = 1 << 13
 # bound on the (tree, profile) pairs one prediction pass walks
 _PREDICT_PAIRS = 1 << 12
@@ -70,7 +63,7 @@ def _node_dtype(n_classes: int) -> np.dtype:
 
 @dataclass
 class _Tree:
-    """Nodes in depth-first pre-order, one record each: the split column
+    """Nodes level by level, left to right, one record each: the split column
     (-1 at a leaf), the left and right child (-1 at a leaf) and the class
     tally of the node's bootstrap rows."""
 
@@ -93,23 +86,11 @@ def _columns(schema: AttributeSchema) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum([0] + sizes[:-1]), np.repeat(np.arange(len(sizes)), sizes)
 
 
-def _gini(counts: Sequence[float], n: float) -> float:
-    """1 - sum((c/n)^2), summed in the order ``np.sum`` uses, so that gains
-    and hence split choices match a per-feature numpy computation bit for
-    bit: fewer than 8 terms are added left to right, more go to np.sum."""
-    squares = [(c / n) * (c / n) for c in counts]
-    if len(squares) < 8:
-        total = 0.0
-        for s in squares:
-            total += s
-    else:
-        total = float(np.sum(squares))
-    return 1.0 - total
-
-
 def _gini_rows(counts: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``_gini`` of every class tally along the last axis of ``counts``,
-    with the same summation order, so each value equals ``_gini``'s."""
+    """1 - sum((c/n)^2) of every class tally along the last axis of
+    ``counts``, summed in the order ``np.sum`` uses on one tally (fewer
+    than 8 terms left to right), so that gains and hence split choices
+    match a per-feature numpy computation bit for bit."""
     p = counts / n[..., None]
     squares = p * p
     if squares.shape[-1] >= 8:
@@ -120,96 +101,7 @@ def _gini_rows(counts: np.ndarray, n: np.ndarray) -> np.ndarray:
     return 1.0 - total
 
 
-def _grow_tree(
-    active: np.ndarray,
-    codes: np.ndarray,
-    attribute_of: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    params: ForestParams,
-    rng: np.random.Generator,
-) -> _Tree:
-    """Grow one tree on a bootstrap of the training rows.
-
-    ``active`` holds each row's active one-hot column per attribute,
-    ``codes`` is ``active * n_classes + y`` and ``attribute_of`` maps a
-    column to its attribute.  Rows are kept once, weighted by how often the
-    bootstrap drew them.
-    """
-    n, n_attrs = active.shape
-    d, C = len(attribute_of), n_classes
-    k = params.features_per_split or int(np.ceil(np.sqrt(d)))
-    nodes: list = []  # (feature, left, right, counts) per node
-
-    def leaf(counts: list) -> int:
-        nodes.append((-1, -1, -1, counts))
-        return len(nodes) - 1
-
-    def build(rows: np.ndarray, w: np.ndarray, counts: list, total: float,
-              depth: int) -> int:
-        if (
-            total < 2 * params.min_samples_leaf
-            or sum(1 for c in counts if c) == 1
-            or (params.max_depth is not None and depth >= params.max_depth)
-        ):
-            return leaf(counts)
-        # random candidate subset first; fall back to the remaining features
-        # so a pure split is never missed when one exists
-        order = rng.permutation(d)
-        tally = np.bincount(codes[rows].ravel(), weights=np.repeat(w, n_attrs),
-                            minlength=d * C).reshape(d, C).tolist()
-        parent = _gini(counts, total)
-        best_feature = -1
-        best_gain = 0.0
-        for tried, f in enumerate(order.tolist(), 1):
-            right = tally[f]
-            n_right = sum(right)
-            n_left = total - n_right
-            if n_left and n_right:
-                left = [c - r for c, r in zip(counts, right)]
-                gain = parent - ((n_left / total) * _gini(left, n_left)
-                                 + (n_right / total) * _gini(right, n_right))
-                if gain > best_gain + 1e-12:
-                    best_gain = gain
-                    best_feature = f
-            if tried >= k and best_feature >= 0:
-                break
-        if best_feature < 0:
-            return leaf(counts)
-        right = tally[best_feature]
-        n_right = sum(right)
-        n_left = total - n_right
-        if n_left < params.min_samples_leaf or n_right < params.min_samples_leaf:
-            return leaf(counts)
-        goes_right = active[rows, attribute_of[best_feature]] == best_feature
-        node_pos = len(nodes)
-        nodes.append(None)
-        left_pos = build(rows[~goes_right], w[~goes_right],
-                         [c - r for c, r in zip(counts, right)], n_left,
-                         depth + 1)
-        right_pos = build(rows[goes_right], w[goes_right], right, n_right,
-                          depth + 1)
-        nodes[node_pos] = (best_feature, left_pos, right_pos, counts)
-        return node_pos
-
-    weights = np.bincount(rng.integers(0, n, n), minlength=n)
-    rows = np.flatnonzero(weights)
-    w = weights[rows]
-    counts = np.bincount(y[rows], weights=w, minlength=C).tolist()
-    build(rows, w, counts, float(n), 0)
-    return _Tree(np.array(nodes, dtype=_node_dtype(C)))
-
-
-def _pending_dtype(n_classes: int) -> np.dtype:
-    # a node on its tree's stack: its segment of the flat row array, its
-    # depth and class tally, whether the stop rules make it a leaf, and for
-    # a right child the position of its parent's record (else -1)
-    return np.dtype([("start", np.int32), ("end", np.int32),
-                     ("depth", np.int32), ("parent", np.int64),
-                     ("leaf", np.bool_), ("counts", np.int32, (n_classes,))])
-
-
-def _grow_lockstep(
+def _grow_forest(
     active: np.ndarray,
     codes: np.ndarray,
     attribute_of: np.ndarray,
@@ -218,96 +110,48 @@ def _grow_lockstep(
     params: ForestParams,
     rngs: Sequence[np.random.Generator],
 ) -> list[_Tree]:
-    """Grow one tree per generator of ``rngs``, all of them at once.
+    """Grow one tree per generator of ``rngs``, all of them level by level.
 
-    Every tree keeps its pending nodes on an explicit stack, a right child
-    below its left sibling.  A step pops and scans the top node of every
-    tree whose stack is not empty, and the leaves that then come to the top
-    are recorded at once.  So every tree records its nodes in depth-first
-    pre-order and draws its bootstrap and then one permutation per scanned
-    node in the order ``_grow_tree`` does: the trees are the same.  The
-    bootstrap rows of all trees sit in one flat array in which each pending
-    node owns a segment; a split partitions its segment stably, left rows
-    first.
+    ``active`` holds each row's active one-hot column per attribute,
+    ``codes`` is ``active * n_classes + y`` and ``attribute_of`` maps a
+    column to its attribute.  A tree keeps its bootstrap rows once,
+    weighted by how often the bootstrap drew them.
+
+    A step takes every node at the current depth of every tree, tree by
+    tree and left to right.  The stop rules make some of them leaves; the
+    others are scanned, each with a permutation its tree's generator draws
+    then, and split or stay leaves.  So a tree draws its bootstrap and then
+    one permutation per scanned node in level order, whatever the size of
+    the forest.  The bootstrap rows of all trees sit in one flat array in
+    which each node owns a segment; a split partitions its segment stably,
+    left rows first.
     """
     n, n_attrs = active.shape
     d, C = len(attribute_of), n_classes
     k = params.features_per_split or int(np.ceil(np.sqrt(d)))
     msl = params.min_samples_leaf
     n_trees = len(rngs)
-    pending = _pending_dtype(C)
 
     # Rows of one profile never part, so every leaf holds a profile of its
     # own and a tree has at most 2 * profiles - 1 nodes.
     profile = distinct_rows(active)[0]
+    capacity = np.empty(n_trees, dtype=np.intp)
     flat_rows = np.empty(n_trees * n, dtype=np.int32)
     flat_w = np.empty(n_trees * n, dtype=np.int32)
-    roots = np.zeros(n_trees, dtype=pending)
-    capacity = np.empty(n_trees, dtype=np.intp)
-    end = 0
+    # the nodes of the current level: tree, row segment and class tally
+    tree = np.arange(n_trees, dtype=np.int32)
+    start = np.empty(n_trees, dtype=np.int32)
+    end = np.empty(n_trees, dtype=np.int32)
+    counts = np.empty((n_trees, C), dtype=np.int32)
+    filled = 0
     for t, rng in enumerate(rngs):
         w = np.bincount(rng.integers(0, n, n), minlength=n)
         r = np.flatnonzero(w)
-        roots["start"][t], end = end, end + len(r)
-        roots["end"][t] = end
-        roots["counts"][t] = np.bincount(y[r], weights=w[r], minlength=C)
-        flat_rows[end - len(r):end], flat_w[end - len(r):end] = r, w[r]
+        start[t], filled = filled, filled + len(r)
+        end[t] = filled
+        flat_rows[start[t]:filled], flat_w[start[t]:filled] = r, w[r]
+        counts[t] = np.bincount(y[r], weights=w[r], minlength=C)
         capacity[t] = 2 * np.count_nonzero(np.bincount(profile[r])) - 1
-    flat_rows, flat_w = flat_rows[:end], flat_w[:end]
-    roots["parent"] = -1
-
-    # Each tree draws its permutations _PERMUTATIONS at a time: permuted()
-    # shuffles the rows of ``base`` with the draws that as many consecutive
-    # permutation(d) calls make, in the same order.
-    base = np.tile(np.arange(d, dtype=np.int16), (_PERMUTATIONS, 1))
-    perms = np.empty((n_trees, _PERMUTATIONS, d), dtype=np.int16)
-    perm_at = np.full(n_trees, _PERMUTATIONS)
-
-    # tree t records its nodes in out[first[t]:first[t] + recorded[t]]
-    out = np.empty(capacity.sum(), dtype=_node_dtype(C))
-    first = np.cumsum(capacity) - capacity
-    out["right"] = -1  # until a right child is recorded
-    recorded = np.zeros(n_trees, dtype=np.intp)
-    stack = np.zeros((n_trees, 16), dtype=pending)
-    height = np.zeros(n_trees, dtype=np.intp)
-
-    def record(trees, node, feature):
-        """Record ``node`` as the next node of each of ``trees``; return
-        where the records went."""
-        pos = recorded[trees]
-        at = first[trees] + pos
-        out["feature"][at] = feature
-        out["left"][at] = np.where(feature >= 0, pos + 1, -1)
-        out["counts"][at] = node["counts"]
-        right = node["parent"] >= 0
-        out["right"][node["parent"][right]] = pos[right]
-        recorded[trees] = pos + 1
-        return at
-
-    def push(trees, new):
-        """Push ``new``, one node per tree of ``trees``, marking the nodes
-        the stop rules make leaves."""
-        nonlocal stack
-        total = new["counts"].sum(axis=1)
-        new["leaf"] = ((total < 2 * msl)
-                       | ((new["counts"] != 0).sum(axis=1) == 1))
-        if params.max_depth is not None:
-            new["leaf"] |= new["depth"] >= params.max_depth
-        if height[trees].max() >= stack.shape[1]:
-            stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
-        stack[trees, height[trees]] = new
-        height[trees] += 1
-
-    def record_leaves(trees):
-        """Record the leaves on top of the stacks of ``trees``: each is the
-        next node of its tree in pre-order."""
-        trees = trees[height[trees] > 0]
-        while trees.size:
-            top = stack[trees, height[trees] - 1]
-            trees, top = trees[top["leaf"]], top[top["leaf"]]
-            height[trees] -= 1
-            record(trees, top, np.full(len(trees), -1))
-            trees = trees[height[trees] > 0]
 
     def split(start, end, counts, total, order):
         """The chosen column of each node (-1: it stays a leaf), the class
@@ -360,46 +204,61 @@ def _grow_lockstep(
         return feature, right, lengths - np.bincount(slot[goes_right],
                                                      minlength=m)
 
-    push(np.arange(n_trees), roots)
-    record_leaves(np.arange(n_trees))
-
-    live = np.flatnonzero(height)
-    while live.size:
-        height[live] -= 1
-        node = stack[live, height[live]]
-        empty = live[perm_at[live] == _PERMUTATIONS]
-        for t in empty:
-            perms[t] = rngs[t].permuted(base, axis=1)
-        perm_at[empty] = 0
-        order = perms[live, perm_at[live]]
-        perm_at[live] += 1
-        start, end, counts = node["start"], node["end"], node["counts"]
+    # tree t records its nodes level by level, left to right, in
+    # out[first[t]:first[t] + recorded[t]]
+    first = np.cumsum(capacity) - capacity
+    out = np.empty(capacity.sum(), dtype=_node_dtype(C))
+    recorded = np.zeros(n_trees, dtype=np.intp)
+    depth = 0
+    while tree.size:
         total = counts.sum(axis=1)
-        lengths = end - start
-        if lengths.sum() * n_attrs <= _TALLY_CODES:
-            feature, right, n_left = split(start, end, counts, total, order)
-        else:  # bound the rows one tally gathers
-            group = (np.cumsum(lengths) - lengths) * n_attrs // _TALLY_CODES
-            cuts = [0, *(np.flatnonzero(np.diff(group)) + 1), len(live)]
-            parts = [split(start[a:b], end[a:b], counts[a:b], total[a:b],
-                           order[a:b]) for a, b in zip(cuts, cuts[1:])]
-            feature, right, n_left = (np.concatenate(x) for x in zip(*parts))
-        at = record(live, node, feature)
-        s = np.flatnonzero(feature >= 0)
+        scan = (total >= 2 * msl) & ((counts != 0).sum(axis=1) > 1)
+        if params.max_depth is not None and depth >= params.max_depth:
+            scan[:] = False
+        # each node's column (-1: a leaf), the class tally right of it and
+        # its rows left of it
+        feature = np.full(len(tree), -1)
+        right = np.zeros((len(tree), C), dtype=np.int32)
+        n_left = np.zeros(len(tree), dtype=np.int32)
+        s = np.flatnonzero(scan)
         if s.size:
-            t = live[s]
-            kid = np.zeros(len(s), dtype=pending)
-            kid["depth"] = node["depth"][s] + 1
-            mid = start[s] + n_left[s]
-            # the right child first, so that the left one is popped first
-            kid["start"], kid["end"], kid["parent"] = mid, end[s], at[s]
-            kid["counts"] = right[s]
-            push(t, kid)
-            kid["start"], kid["end"], kid["parent"] = start[s], mid, -1
-            kid["counts"] = counts[s] - right[s]
-            push(t, kid)
-        record_leaves(live)
-        live = live[height[live] > 0]
+            per_tree = np.bincount(tree[s], minlength=n_trees)
+            # permuted() shuffles each row of base with the draws that as
+            # many consecutive permutation(d) calls make, in the same order
+            base = np.tile(np.arange(d, dtype=np.int16), (per_tree.max(), 1))
+            order = np.empty((len(s), d), dtype=np.int16)
+            lo = np.cumsum(per_tree) - per_tree
+            for t in np.flatnonzero(per_tree):
+                m = per_tree[t]
+                order[lo[t]:lo[t] + m] = rngs[t].permuted(base[:m], axis=1)
+            # bound the codes and the gain cells one tally gathers
+            cost = (end[s] - start[s]) * n_attrs + d * C
+            group = (np.cumsum(cost) - cost) // _TALLY_CODES
+            cuts = [0, *(np.flatnonzero(np.diff(group)) + 1), len(s)]
+            parts = [split(start[s[a:b]], end[s[a:b]], counts[s[a:b]],
+                           total[s[a:b]], order[a:b])
+                     for a, b in zip(cuts, cuts[1:])]
+            feature[s], right[s], n_left[s] = (np.concatenate(x)
+                                               for x in zip(*parts))
+        s = np.flatnonzero(feature >= 0)
+        # record the level; a tree's children follow its last record
+        rank = np.arange(len(tree)) - np.searchsorted(tree, tree)
+        at = first[tree] + recorded[tree] + rank
+        recorded += np.bincount(tree, minlength=n_trees)
+        kid = recorded[tree[s]] + 2 * (np.arange(len(s))
+                                       - np.searchsorted(tree[s], tree[s]))
+        out["feature"][at] = feature
+        out["left"][at], out["right"][at] = -1, -1
+        out["left"][at[s]], out["right"][at[s]] = kid, kid + 1
+        out["counts"][at] = counts
+        # the next level: the left and then the right child of each split
+        mid = start[s] + n_left[s]
+        tree = np.repeat(tree[s], 2)
+        start = np.column_stack([start[s], mid]).ravel()
+        end = np.column_stack([mid, end[s]]).ravel()
+        counts = np.stack([counts[s] - right[s], right[s]],
+                          axis=1).reshape(-1, C)
+        depth += 1
     return [_Tree(out[a:a + size]) for a, size in zip(first, recorded)]
 
 
@@ -412,8 +271,8 @@ def fit_in_sample(
     """Fit a forest on every respondent with an answer for the case.
 
     Deterministic for a fixed seed: each tree draws from its own generator
-    keyed by (seed, tree index), so a tree is the same whichever grower
-    builds it and however many trees the forest has.
+    keyed by (seed, tree index), so a tree is the same however many trees
+    the forest has.
     """
     ids = dataset.answered(case)[0]
     if len(ids) < 2:
@@ -427,14 +286,9 @@ def fit_in_sample(
 
     rngs = [np.random.default_rng((seed, tree_idx))
             for tree_idx in range(params.n_trees)]
-    if params.n_trees >= LOCKSTEP_MIN_TREES:
-        trees = _grow_lockstep(active, codes, attribute_of, y, n_classes,
-                               params, rngs)
-    else:
-        trees = [_grow_tree(active, codes, attribute_of, y, n_classes, params,
-                            rng) for rng in rngs]
     return ForestModel(
-        trees=trees,
+        trees=_grow_forest(active, codes, attribute_of, y, n_classes, params,
+                           rngs),
         schema=dataset.schema,
         n_classes=n_classes,
         params=params,

@@ -377,7 +377,7 @@ class RemoteChatBackend:
 def build_backend(config: BackendConfig, cache: ExchangeCache,
                   reply_fn: Optional[Callable[[RenderedPrompt], str]] = None):
     """The backend of ``config``; ``reply_fn`` is a mock's reply function
-    (None for the first-option mock)."""
+    (without one, a mock answers the prompt's first numbered line)."""
     if config.kind == "mock":
         return MockBackend(config, reply_fn)
     if config.kind == "replay":

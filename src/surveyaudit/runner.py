@@ -108,6 +108,8 @@ def load_config(path: str | Path, seed: Optional[int] = None
     ablation = raw.get("ablation", False)
     if not isinstance(ablation, bool):
         raise ConfigError(f"ablation: expected bool, got {ablation!r}")
+    if ablation and "masks" in raw:
+        raise ConfigError("config gives both masks and ablation: true")
     case_ids = _names(raw, "cases", "question id")
     tolerance = raw.get("equality_tolerance", 0.05)
     if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
@@ -122,6 +124,9 @@ def load_config(path: str | Path, seed: Optional[int] = None
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(
                 f"equality_pairs: a pair names two attributes, got {pair!r}")
+        if pair[0] == pair[1]:
+            raise ConfigError(f"equality_pairs: a pair names one attribute "
+                              f"twice, got {pair!r}")
     regressions = [_mapping(entry, "regression entry")
                    for entry in _list(raw, "regressions")]
 
@@ -248,14 +253,16 @@ def _mock_reply_fn(strategy: str, dataset: Dataset):
         label = strategy.split(":", 1)[1]
         return lambda prompt: label
     if strategy == "first_option":
-        return None  # MockBackend default
+        # from the case, not the prompt text: a context may hold a "1. " line
+        first = {c.question_id: c.options[0] for c in dataset.cases}
+        return lambda prompt: first[prompt.case_id]
     raise ConfigError(f"unknown mock strategy {strategy!r}")
 
 
 def _backend_config(entry: dict, dataset: Dataset, offline: bool
                     ) -> tuple[BackendConfig, Optional[Callable]]:
-    """A backend entry's config, and a mock's reply function (None for the
-    first-option mock and for other kinds)."""
+    """A backend entry's config, and a mock's reply function (None for
+    other kinds)."""
     entry = dict(entry)
     strategy = entry.pop("strategy", None)
     what = f"backend {entry.get('name')!r}"
@@ -387,10 +394,12 @@ def _plan(cfg: ExperimentConfig, offline: bool) -> Plan:
                 f"variant with_context needs a context blurb, which "
                 f"{len(bare)} of {len(cases)} cases lack: {bare}")
     backends = [_backend_config(e, dataset, offline) for e in cfg.backends]
-    # a cell is keyed by (backend, case, variant, mask), so each must be unique
+    # a cell is keyed by (backend, case, variant, mask) and a regression fit
+    # by (name, backend), so each must be unique
     for kind, labels in (("backend names", [c.name for c, _ in backends]),
                          ("variants", cfg.variants),
-                         ("masks", [m.label() for m in masks])):
+                         ("masks", [m.label() for m in masks]),
+                         ("regression names", [s.name for s in specs])):
         repeated = sorted({x for x in labels if labels.count(x) > 1})
         if repeated:
             raise ConfigError(f"duplicate {kind}: {repeated}")

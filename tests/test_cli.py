@@ -18,7 +18,8 @@ from surveyaudit.synthetic import CaseSpec, PopulationSpec, generate
 from test_pinned import write_run
 
 
-def write_population(tmp_path, n=120, seed=3, questions=("vote",)):
+def write_population(tmp_path, n=120, seed=3, questions=("vote",),
+                     context=None):
     schema = AttributeSchema(
         attributes=(
             Attribute("gender", ("Man", "Woman"), "Man"),
@@ -39,7 +40,8 @@ def write_population(tmp_path, n=120, seed=3, questions=("vote",)):
         n=n,
         cases=tuple(
             CaseSpec(q, ("OptA", "OptB"), (0.6, 0.4), depends_on="gender",
-                     table={"Man": [0.8, 0.2], "Woman": [0.3, 0.7]})
+                     table={"Man": [0.8, 0.2], "Woman": [0.3, 0.7]},
+                     context_blurb=context)
             for q in questions
         ),
         correctness_intercept=math.log(0.75 / 0.25),
@@ -165,6 +167,52 @@ def test_all_unparseable_cell_is_scored(tmp_path):
         assert report["accuracy"] == 0.0 and report["jss"] == 0.0
         assert report["n_unparseable"] == report["n_total"] == 120
         assert ["gender", "Man"] in report["flagged_groups"]
+
+
+def _mock_run(tmp_path, strategy, extra=""):
+    """Run one mock backend of ``strategy``; the metrics.json cells and
+    the prediction records."""
+    cfg = write_config(tmp_path, extra=extra, backends=(
+        f"  - {{name: m, kind: mock, strategy: '{strategy}'}}"))
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--offline"])
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "out"
+    cells = json.loads((out / "metrics.json").read_text())["cells"]
+    lines = (out / "predictions.jsonl").read_text().splitlines()
+    return cells, [json.loads(line) for line in lines]
+
+
+def test_first_option_mock_ignores_a_numbered_context(tmp_path):
+    # with_context puts the context before the options, so its "1. " line
+    # comes first in the prompt
+    write_population(tmp_path, context="1. Raise pensions.\n2. Cut taxes.")
+    cells, predictions = _mock_run(tmp_path, "first_option",
+                                   extra="variants: [with_context]\n")
+    assert len(predictions) == 120
+    assert {(p["raw_text"], p["parsed"]) for p in predictions} == {("OptA", 0)}
+    assert cells[0]["report"]["n_unparseable"] == 0
+
+
+def test_truth_mock_scores_one_in_every_cell(tmp_path):
+    write_population(tmp_path, questions=("vote", "trust"))
+    cells, _ = _mock_run(tmp_path, "truth", extra="ablation: true\n")
+    assert len(cells) == 2 * 6
+    for cell in cells:
+        assert cell["report"]["accuracy"] == 1.0
+        assert cell["report"]["jss"] == 1.0
+
+
+@pytest.mark.parametrize("label, parsed", [("OptB", 1), ("Neither", None)])
+def test_fixed_mock_replies_its_label(tmp_path, label, parsed):
+    # a label that is not an option leaves every reply unparseable, and the
+    # cell is scored all the same
+    write_population(tmp_path)
+    cells, predictions = _mock_run(tmp_path, f"fixed:{label}")
+    assert len(predictions) == 120
+    assert {(p["raw_text"], p["parsed"]) for p in predictions} == {
+        (label, parsed)}
+    report = cells[0]["report"]
+    assert report["n_unparseable"] == (0 if parsed is not None else 120)
 
 
 def test_regressions_in_bundle(tmp_path):
@@ -357,6 +405,14 @@ def test_interaction_outside_main_effects_fails_before_any_work(
     ("regressions:\n  - [[name, m1], [main_effects, [gender]]]\n",
      "Error: regression entry: expected dict, got [['name', 'm1'], "
      "['main_effects', ['gender']]]"),
+    ("regressions:\n  - {main_effects: [gender]}\n"
+     "  - {main_effects: [age, ideology]}\n",
+     "Error: duplicate regression names: ['model']"),
+    ("ablation: true\nmasks: [without:nosuch]\n",
+     "Error: config gives both masks and ablation: true"),
+    ("equality_pairs: [[gender, gender]]\n",
+     "Error: equality_pairs: a pair names one attribute twice, got "
+     "['gender', 'gender']"),
 ], ids=["forest_key", "n_trees", "min_samples_leaf", "max_depth",
         "features_per_split", "backend_name", "backend_kind", "fewshot_k_0",
         "fewshot_k_negative", "variant", "mask", "fewshot_k_above_eligible",
@@ -378,7 +434,8 @@ def test_interaction_outside_main_effects_fails_before_any_work(
         "tolerance_string", "variants_empty", "masks_empty",
         "political_empty", "variant_and_variants", "dataset_pairs",
         "fewshot_pairs", "forest_pairs", "backend_entry_pairs",
-        "regression_entry_pairs"])
+        "regression_entry_pairs", "regression_names", "masks_and_ablation",
+        "equality_pair_of_one_attribute"])
 def test_config_mistake_fails_before_any_work(tmp_path, monkeypatch, extra,
                                               message):
     # a key repeated in ``extra`` overrides write_config's, as YAML loads it

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,9 +13,7 @@ import pytest
 import surveyaudit.forest as forest_mod
 from surveyaudit.data import Attribute, AttributeSchema, save_dataset
 from surveyaudit.forest import (
-    LOCKSTEP_MIN_TREES,
     ForestParams,
-    _gini,
     _gini_rows,
     baseline_metrics,
     fit_in_sample,
@@ -137,9 +136,10 @@ def test_row_shuffle_reproducible():
 
 # --- reference grower: one gini_gain call per candidate feature -----------
 #
-# The per-feature grower the forest used before it tallied once per node.
-# It shares no code with the production grower and serves as its oracle:
-# both consume the same rng stream, so they must build identical trees.
+# A per-feature grower with a queue of pending nodes.  It shares no code
+# with the production grower and serves as its oracle: both draw the
+# bootstrap and then one permutation per scanned node in level order, so
+# they must build identical trees.
 
 def _reference_gini_gain(y, mask, n_classes):
     n = len(y)
@@ -161,23 +161,21 @@ def _reference_gini_gain(y, mask, n_classes):
 def _reference_grow_tree(X, y, n_classes, params, rng):
     n, d = X.shape
     k = params.features_per_split or int(np.ceil(np.sqrt(d)))
-    nodes = []
-
-    def counts(idx):
-        return np.bincount(y[idx], minlength=n_classes)
-
-    def leaf(idx):
-        nodes.append((-1, -1, -1, counts(idx)))
-        return len(nodes) - 1
-
-    def build(idx, depth):
+    nodes = []  # [feature, left, right, counts], level by level
+    # pending nodes: rows, depth, and the parent's record and child slot
+    queue = deque([(rng.integers(0, n, n), 0, None, None)])
+    while queue:
+        idx, depth, parent, slot = queue.popleft()
+        if parent is not None:
+            nodes[parent][slot] = len(nodes)
+        nodes.append([-1, -1, -1, np.bincount(y[idx], minlength=n_classes)])
         labels = y[idx]
         if (
             len(idx) < 2 * params.min_samples_leaf
             or len(np.unique(labels)) == 1
             or (params.max_depth is not None and depth >= params.max_depth)
         ):
-            return leaf(idx)
+            continue
         order = rng.permutation(d)
         best_feature = -1
         best_gain = 0.0
@@ -189,7 +187,7 @@ def _reference_grow_tree(X, y, n_classes, params, rng):
             if tried >= k and best_feature >= 0:
                 break
         if best_feature < 0:
-            return leaf(idx)
+            continue
         mask = X[idx, best_feature] == 1
         left_idx = idx[~mask]
         right_idx = idx[mask]
@@ -197,15 +195,10 @@ def _reference_grow_tree(X, y, n_classes, params, rng):
             len(left_idx) < params.min_samples_leaf
             or len(right_idx) < params.min_samples_leaf
         ):
-            return leaf(idx)
-        node_pos = len(nodes)
-        nodes.append(None)
-        left = build(left_idx, depth + 1)
-        right = build(right_idx, depth + 1)
-        nodes[node_pos] = (int(best_feature), left, right, counts(idx))
-        return node_pos
-
-    build(rng.integers(0, n, n), 0)
+            continue
+        nodes[-1][0] = int(best_feature)
+        queue.append((left_idx, depth + 1, len(nodes) - 1, 1))
+        queue.append((right_idx, depth + 1, len(nodes) - 1, 2))
     return nodes
 
 
@@ -249,28 +242,31 @@ def _six_attribute_population(seed, n, options):
     return dataset
 
 
-def test_gini_sums_like_numpy():
-    # split choices stay bit-identical only if every impurity does
-    rng = np.random.default_rng(0)
-    for n_classes in range(2, 13):
-        for _ in range(300):
-            counts = rng.integers(0, 60, n_classes)
-            counts[0] += 1
-            p = counts / counts.sum()
-            expected = 1.0 - float(np.sum(p * p))
-            assert _gini(counts.astype(float).tolist(), float(counts.sum())) == expected
-
-
 def test_gini_rows_equals_gini():
-    # the lockstep grower scores every (node, column) pair with _gini_rows
+    # split choices stay bit-identical only if every impurity equals
+    # numpy's sum over one tally
     rng = np.random.default_rng(1)
     for n_classes in range(2, 13):
         counts = rng.integers(0, 60, (300, n_classes))
         counts[:, 0] += 1
         totals = counts.sum(axis=1)
-        expected = [_gini(c.astype(float).tolist(), float(t))
-                    for c, t in zip(counts, totals)]
+        expected = []
+        for c, t in zip(counts, totals):
+            p = c / t
+            expected.append(1.0 - float(np.sum(p * p)))
         assert _gini_rows(counts, totals).tolist() == expected
+
+
+def _assert_reference_trees(trees, X, y, n_classes, params, seed):
+    # every tree equals the reference grower's tree for its index
+    for tree_idx, tree in enumerate(trees):
+        expected = _reference_grow_tree(
+            X, y, n_classes, params, np.random.default_rng((seed, tree_idx)))
+        assert len(tree.nodes) == len(expected)
+        for node, (feature, left, right, counts) in zip(tree.nodes, expected):
+            assert (node["feature"], node["left"], node["right"]) == \
+                (feature, left, right)
+            assert np.array_equal(node["counts"], counts)
 
 
 @pytest.mark.parametrize("params, n_options", [
@@ -283,27 +279,17 @@ def test_gini_rows_equals_gini():
 ])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_trees_match_reference_grower(params, n_options, seed):
-    # the small forest grows tree by tree, the large one in lockstep
-    assert params.n_trees < LOCKSTEP_MIN_TREES
+    # a tree is the same in a small forest and in a 20-tree one
     options = tuple(f"o{j}" for j in range(n_options))
     ds = _six_attribute_population(seed, n=160, options=options)
     X = _one_hot(ds)
     for case in ds.cases:
         y = np.array([case.answers[p.respondent_id] for p in ds.profiles])
         small = fit_in_sample(ds, case, params, seed=seed)
-        large = fit_in_sample(
-            ds, case, replace(params, n_trees=LOCKSTEP_MIN_TREES), seed=seed)
-        assert len(large.trees) == LOCKSTEP_MIN_TREES
-        for tree_idx, tree in enumerate(large.trees):
-            expected = _reference_grow_tree(
-                X, y, n_options, params, np.random.default_rng((seed, tree_idx)))
-            for grown in [tree] + small.trees[tree_idx:tree_idx + 1]:
-                assert len(grown.nodes) == len(expected)
-                for node, (feature, left, right, counts) in zip(grown.nodes,
-                                                                expected):
-                    assert (node["feature"], node["left"], node["right"]) == \
-                        (feature, left, right)
-                    assert np.array_equal(node["counts"], counts)
+        large = fit_in_sample(ds, case, replace(params, n_trees=20), seed=seed)
+        assert len(large.trees) == 20
+        _assert_reference_trees(large.trees, X, y, n_options, params, seed)
+        _assert_reference_trees(small.trees, X, y, n_options, params, seed)
 
 
 def _reference_predict(model, X):
@@ -321,29 +307,29 @@ def _reference_predict(model, X):
 
 
 @pytest.mark.parametrize("bounded", [False, True], ids=["one_pass", "bounded"])
-def test_lockstep_trees_equal_tree_by_tree_trees(bounded, monkeypatch):
-    if bounded:  # many small tallies and prediction passes, frequent refills
+def test_small_forest_trees_equal_large_forest_trees(bounded, monkeypatch):
+    if bounded:  # many small tallies and prediction passes
         monkeypatch.setattr(forest_mod, "_TALLY_CODES", 64)
         monkeypatch.setattr(forest_mod, "_PREDICT_PAIRS", 100)
-        monkeypatch.setattr(forest_mod, "_PERMUTATIONS", 2)
     # a tree is keyed by (seed, tree index), so the first trees of a
-    # lockstep forest are the trees of a small forest grown one by one
+    # large forest are the trees of a small one
     ds = _six_attribute_population(5, n=300, options=("A", "B", "C", "D"))
     X = _one_hot(ds)
     for case in ds.cases:
+        y = np.array([case.answers[p.respondent_id] for p in ds.profiles])
         small = fit_in_sample(ds, case, ForestParams(n_trees=8), seed=5)
-        large = fit_in_sample(
-            ds, case, ForestParams(n_trees=LOCKSTEP_MIN_TREES), seed=5)
+        large = fit_in_sample(ds, case, ForestParams(n_trees=20), seed=5)
         for a, b in zip(small.trees, large.trees[:8]):
             assert a.nodes.dtype == b.nodes.dtype
             assert np.array_equal(a.nodes, b.nodes)
+        _assert_reference_trees(large.trees, X, y, 4, ForestParams(), 5)
         assert predict(large, ds.coded.codes) == _reference_predict(large, X)
         assert predict(small, ds.coded.codes) == _reference_predict(small, X)
 
 
 def test_forest_heavy_bundle_bytes_pinned(tmp_path):
-    # any byte drift in the forest ceiling (or anything else in the bundle)
-    # changes this digest; the value was taken with the per-feature grower
+    # one digest over the files the forest does not touch and one over those
+    # it does, so a change to the forest ceiling re-takes only the second
     ds = _six_attribute_population(7, n=120, options=("A", "B", "C"))
     save_dataset(ds, tmp_path / "data.csv", tmp_path / "schema.yaml")
     (tmp_path / "config.yaml").write_text(textwrap.dedent("""\
@@ -357,13 +343,21 @@ def test_forest_heavy_bundle_bytes_pinned(tmp_path):
         output: out
     """))
     run_experiment(load_config(tmp_path / "config.yaml"), offline=True)
-    digest = hashlib.sha256()
-    for path in sorted((tmp_path / "out").rglob("*")):
+    out = tmp_path / "out"
+    forest_files = {"metrics.json", "metrics.md", "plots"}
+    elsewhere, forest = hashlib.sha256(), hashlib.sha256()
+    for path in sorted(out.rglob("*")):
         if path.is_file():
-            digest.update(str(path.relative_to(tmp_path / "out")).encode())
+            name = path.relative_to(out)
+            digest = forest if name.parts[0] in forest_files else elsewhere
+            digest.update(str(name).encode())
             digest.update(path.read_bytes())
-    assert digest.hexdigest() == (
-        "ce06fd6a7d50094825c8af70ca42d75244691929e0a0f6b41a430527becf3a6f")
+    # manifest.json, predictions.jsonl and equality.json
+    assert elsewhere.hexdigest() == (
+        "e7081f97cf71f1e6cc8b346765e50ddf5142c347e893f2742d45f724d2f8542f")
+    # metrics.json, metrics.md and plots/, taken with the level-by-level grower
+    assert forest.hexdigest() == (
+        "c849c048b9692f3820b3608dc4acfa1d23cdc511c2ffae526b8d1b434b6d7e7f")
 
 
 def test_run_does_not_import_numpy_ma(tmp_path):
@@ -377,7 +371,7 @@ def test_run_does_not_import_numpy_ma(tmp_path):
         variants: [original, zeroshot]
         ablation: true
         political: [ideology, interest]
-        forest: {{n_trees: {LOCKSTEP_MIN_TREES}, seed: 5}}
+        forest: {{n_trees: 20, seed: 5}}
         regressions:
           - {{name: m1, main_effects: all}}
         output: out
