@@ -25,7 +25,7 @@ from .metrics import (
     harmonic_mean,
     round_half_away,
 )
-from .regression import summarize, to_csv_rows
+from .regression import summarize, to_csv_rows, unfitted_note
 
 
 @dataclass
@@ -178,9 +178,14 @@ def read_cells(path: str | Path) -> list[CellResult]:
 
 
 def write_regressions(out: Path, regressions: dict[str, dict]) -> None:
-    """``regression_<name>__<backend>.md`` and ``.csv`` per fitted model."""
+    """``regression_<name>__<backend>.md`` and ``.csv`` per fitted model;
+    a model that could not be fitted gets only the ``.md``, which says why."""
     out.mkdir(parents=True, exist_ok=True)
     for key, bits in regressions.items():
+        if "error" in bits:
+            (out / f"regression_{key}.md").write_text(
+                unfitted_note(bits["error"]) + "\n", encoding="utf-8")
+            continue
         table = summarize(bits["fit"], bits["spec"], bits["design"])
         (out / f"regression_{key}.md").write_text(table + "\n", encoding="utf-8")
         lines = ["term,estimate,se,z,p,stars"] + [

@@ -39,6 +39,10 @@ def _audit(config_path, out, offline, seed, done, adjust=lambda cfg: None):
         bundle = run_experiment(cfg, offline=offline)
     except SurveyAuditError as exc:
         raise click.ClickException(str(exc))
+    for key, bits in bundle.regressions.items():
+        if "error" in bits:
+            click.echo(f"regression {key} not fitted: {bits['error']}",
+                       err=True)
     click.echo(f"{done} {bundle.out_dir}")
 
 
@@ -116,6 +120,9 @@ def regress(config_path, out, predictions_path):
     except SurveyAuditError as exc:
         raise click.ClickException(str(exc))
     for key, bits in regressions.items():
+        if "error" in bits:
+            click.echo(f"{key}: not fitted: {bits['error']}")
+            continue
         fit = bits["fit"]
         click.echo(f"{key}: {len(fit.columns)} terms, "
                    f"loglik {fit.log_likelihood:.2f}")

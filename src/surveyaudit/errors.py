@@ -89,21 +89,28 @@ class NonpositiveValue(SurveyAuditError):
 
 # --- regression ---
 
-class CollinearColumn(SurveyAuditError):
-    pass
+class Unfittable(SurveyAuditError):
+    """A model the data cannot identify; ``columns`` names the design
+    columns at fault where the check knows them."""
 
-
-class EmptyDesign(SurveyAuditError):
-    pass
-
-
-class Separation(SurveyAuditError):
     def __init__(self, message: str, columns=()):
         self.columns = tuple(columns)
         super().__init__(message)
 
 
-class Singular(SurveyAuditError):
+class CollinearColumn(Unfittable):
+    pass
+
+
+class EmptyDesign(Unfittable):
+    pass
+
+
+class Separation(Unfittable):
+    pass
+
+
+class Singular(Unfittable):
     pass
 
 

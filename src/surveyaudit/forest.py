@@ -11,7 +11,9 @@ stored as the index of its active column per attribute: its category code
 in ``Dataset.coded`` plus the attribute's first column.  A node tallies
 the classes of all its rows, weighted by bootstrap multiplicity, for every
 feature at once with one ``np.bincount``; a feature's right side is its
-tally and its left side the node total minus it.
+tally and its left side the node total minus it, written over the tally
+once the right sides' impurities are taken.  An impurity adds one class's
+squared share at a time, so no (..., classes) temporary is built.
 
 All trees of a forest grow level by level (``_grow_forest``): one
 vectorised step scans every node at the current depth of every tree, so
@@ -51,7 +53,7 @@ class ForestParams:
 
 # bound on the (row, attribute) codes plus (column, class) gain cells one
 # tally gathers
-_TALLY_CODES = 1 << 13
+_TALLY_CODES = 1 << 16
 # bound on the (tree, profile) pairs one prediction pass walks
 _PREDICT_PAIRS = 1 << 12
 
@@ -75,8 +77,6 @@ class ForestModel:
     trees: list[_Tree]
     schema: AttributeSchema
     n_classes: int
-    params: ForestParams
-    seed: int
     degenerate: bool = False  # single answer class in the training data
 
 
@@ -91,13 +91,13 @@ def _gini_rows(counts: np.ndarray, n: np.ndarray) -> np.ndarray:
     ``counts``, summed in the order ``np.sum`` uses on one tally (fewer
     than 8 terms left to right), so that gains and hence split choices
     match a per-feature numpy computation bit for bit."""
-    p = counts / n[..., None]
-    squares = p * p
-    if squares.shape[-1] >= 8:
-        return 1.0 - np.sum(squares, axis=-1)
-    total = squares[..., 0].copy()
-    for j in range(1, squares.shape[-1]):
-        total += squares[..., j]
+    if counts.shape[-1] >= 8:
+        p = counts / n[..., None]
+        return 1.0 - np.sum(p * p, axis=-1)
+    total = np.zeros(n.shape)  # 0.0 + x is x, so the first term is exact
+    for j in range(counts.shape[-1]):
+        p = counts[..., j] / n
+        total += p * p
     return 1.0 - total
 
 
@@ -169,10 +169,11 @@ def _grow_forest(
         n_right = tally.sum(axis=2)
         n_left = total[:, None] - n_right
         with np.errstate(divide="ignore", invalid="ignore"):
+            gini_right = _gini_rows(tally, n_right)
+            left = np.subtract(counts[:, None], tally, out=tally)
             gain = _gini_rows(counts, total)[:, None] - (
-                (n_left / total[:, None]) * _gini_rows(counts[:, None] - tally,
-                                                       n_left)
-                + (n_right / total[:, None]) * _gini_rows(tally, n_right))
+                (n_left / total[:, None]) * _gini_rows(left, n_left)
+                + (n_right / total[:, None]) * gini_right)
         gain[(n_left == 0) | (n_right == 0)] = -np.inf
         nodes = np.arange(m)
         g = gain[nodes[:, None], order]  # in scan order
@@ -193,7 +194,7 @@ def _grow_forest(
                 if g[i, j] > top + 1e-12:
                     top, feature[i] = g[i, j], order[i, j]
         chosen = np.maximum(feature, 0)
-        right = tally[nodes, chosen]
+        right = counts - left[nodes, chosen]
         n_r = n_right[nodes, chosen]
         feature[(total - n_r < msl) | (n_r < msl)] = -1
         f = feature[slot]
@@ -291,8 +292,6 @@ def fit_in_sample(
                            rngs),
         schema=dataset.schema,
         n_classes=n_classes,
-        params=params,
-        seed=seed,
         degenerate=bool(y.min() == y.max()),
     )
 

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, distinct_rows
-from .errors import CollinearColumn, EmptyDesign, Separation, Singular
+from .errors import (CollinearColumn, EmptyDesign, Separation, Singular,
+                     Unfittable)
 from .gateway import Prediction
 from .metrics import group_tally, outcome_codes
 
@@ -145,18 +146,19 @@ def build_design(
 
     zero = [columns[j] for j in range(X.shape[1]) if not X[:, j].any()]
     if zero:
-        raise CollinearColumn(f"all-zero column(s): {zero}")
+        raise CollinearColumn(f"all-zero column(s): {zero}", zero)
     for j in range(X.shape[1]):
         for k in range(j + 1, X.shape[1]):
             if np.array_equal(X[:, j], X[:, k]):
                 raise CollinearColumn(
-                    f"column {columns[k]!r} duplicates {columns[j]!r}"
-                )
+                    f"column {columns[k]!r} duplicates {columns[j]!r}",
+                    (columns[j], columns[k]))
     if np.linalg.matrix_rank(X) < X.shape[1]:
         # name one column involved in the dependency via QR diagonal
         _, R = np.linalg.qr(X)
         bad = [columns[j] for j in range(X.shape[1]) if abs(R[j, j]) < 1e-8]
-        raise CollinearColumn(f"collinear column(s): {bad or columns}")
+        raise CollinearColumn(f"collinear column(s): {bad or columns}",
+                              bad or columns)
 
     return DesignMatrix(
         X=X,
@@ -281,6 +283,15 @@ def summarize(fit: FitResult, spec: ModelSpec, design: DesignMatrix) -> str:
     if not fit.converged:
         lines.append("")
         lines.append("WARNING: fit did not converge")
+    return "\n".join(lines)
+
+
+def unfitted_note(error: Unfittable) -> str:
+    """Markdown for a model that could not be fitted: the reason and the
+    design columns the error names."""
+    lines = [f"Not fitted: {type(error).__name__}: {error}"]
+    if error.columns:
+        lines += ["", "Columns: " + ", ".join(error.columns)]
     return "\n".join(lines)
 
 

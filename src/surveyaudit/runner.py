@@ -21,7 +21,7 @@ from . import forest as forest_mod
 from . import metrics as metrics_mod
 from .bundle import CellResult, ReportBundle, write_bundle
 from .data import Dataset, SurveyCase, load_dataset
-from .errors import BackendUnavailable, ConfigError
+from .errors import BackendUnavailable, ConfigError, Unfittable
 from .gateway import (BackendConfig, ExchangeCache, Prediction, build_backend,
                       run_batch)
 from .metrics import intersection_accuracy
@@ -579,14 +579,20 @@ def fit_regressions(dataset: Dataset, specs: Sequence[ModelSpec],
                     primary: Sequence[CellResult],
                     policy: str) -> dict[str, dict]:
     """Fit every spec once per backend, on that backend's pooled primary
-    predictions; keys are ``<name>__<backend>``."""
+    predictions; keys are ``<name>__<backend>``.  A model the predictions
+    cannot identify keeps its error in place of the design and the fit, and
+    the others still fit."""
     pooled: dict[str, list[Prediction]] = {}
     for c in primary:
         pooled.setdefault(c.backend, []).extend(c.predictions)
     regressions: dict[str, dict] = {}
     for spec in specs:
         for bname, predictions in pooled.items():
-            design = build_design(dataset, predictions, spec, policy=policy)
-            regressions[f"{spec.name}__{bname}"] = {
-                "spec": spec, "design": design, "fit": fit_logit(design)}
+            key = f"{spec.name}__{bname}"
+            try:
+                design = build_design(dataset, predictions, spec, policy=policy)
+                regressions[key] = {"spec": spec, "design": design,
+                                    "fit": fit_logit(design)}
+            except Unfittable as exc:
+                regressions[key] = {"error": exc}
     return regressions

@@ -776,6 +776,41 @@ def test_regress_reproduces_run_regressions(tmp_path):
     assert "no predictions of variant 'spanish'" in result.output
 
 
+def test_unfittable_regression_keeps_the_audit(tmp_path):
+    # a backend that is always right leaves its logit unidentified; the
+    # audit and the other backend's model are written all the same
+    write_population(tmp_path)
+    backends = (
+        "  - {name: truth, kind: mock, strategy: truth}\n"
+        "          - {name: maj, kind: mock, strategy: majority}"
+    )
+    cfg = write_config(tmp_path, backends=backends, extra=textwrap.dedent("""\
+        regressions:
+          - {name: m, main_effects: [gender]}
+    """))
+    runner = CliRunner()
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--offline"])
+    assert result.exit_code == 0, result.output
+    assert ("regression m__truth not fitted: outcome is single-class"
+            in result.output)
+    out = tmp_path / "out"
+    assert (out / "metrics.md").is_file()
+    assert (out / "regression_m__truth.md").read_text() == (
+        "Not fitted: Separation: outcome is single-class; the logit is "
+        "unidentified\n\nColumns: question[vote], gender=Woman\n")
+    assert not (out / "regression_m__truth.csv").exists()
+    assert (out / "regression_m__maj.csv").is_file()
+    result = runner.invoke(main, [
+        "regress", "--config", str(cfg), "--out", str(tmp_path / "refit"),
+        "--predictions", str(out / "predictions.jsonl"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert "m__truth: not fitted: outcome is single-class" in result.output
+    assert bundle_bytes(tmp_path / "refit") == {
+        name: data for name, data in bundle_bytes(out).items()
+        if name.startswith("regression_")}
+
+
 @pytest.mark.parametrize("option", [["--offline"], ["--seed", "1"]])
 def test_regress_takes_no_run_options(tmp_path, option):
     write_population(tmp_path)

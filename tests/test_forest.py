@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
@@ -255,6 +256,16 @@ def test_gini_rows_equals_gini():
             p = c / t
             expected.append(1.0 - float(np.sum(p * p)))
         assert _gini_rows(counts, totals).tolist() == expected
+        # a (nodes, columns, classes) tally as a split holds it, in float64
+        # and with classes some nodes lack altogether
+        tally = rng.integers(0, 60, (40, 7, n_classes)).astype(float)
+        tally *= rng.random((40, 1, n_classes)) >= 0.3
+        tally[:, :, 0] += 1
+        totals = tally.sum(axis=2)
+        expected = [[1.0 - float(np.sum((c / t) * (c / t)))
+                     for c, t in zip(node, node_totals)]
+                    for node, node_totals in zip(tally, totals)]
+        assert _gini_rows(tally, totals).tolist() == expected
 
 
 def _assert_reference_trees(trees, X, y, n_classes, params, seed):
@@ -325,6 +336,22 @@ def test_small_forest_trees_equal_large_forest_trees(bounded, monkeypatch):
         _assert_reference_trees(large.trees, X, y, 4, ForestParams(), 5)
         assert predict(large, ds.coded.codes) == _reference_predict(large, X)
         assert predict(small, ds.coded.codes) == _reference_predict(small, X)
+
+
+def test_fit_memory_peak_bounded():
+    # A level's tallies are bounded by _TALLY_CODES cells.  At that bound,
+    # (..., classes) temporaries per impurity would lift the peak of this fit
+    # from about 2.9 MB to about 3.8 MB.
+    ds = _six_attribute_population(1, n=160, options=("A", "B", "C"))
+    case = ds.cases[0]
+    fit_in_sample(ds, case, ForestParams(n_trees=2), seed=1)  # warm imports
+    tracemalloc.start()
+    try:
+        fit_in_sample(ds, case, ForestParams(n_trees=100), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.3e6
 
 
 def test_forest_heavy_bundle_bytes_pinned(tmp_path):

@@ -187,8 +187,9 @@ def test_build_design_collinear_detected():
         Prediction(p.respondent_id, case.question_id, "t", "", i % 2)
         for i, p in enumerate(ds.profiles)
     ]
-    with pytest.raises(CollinearColumn):
+    with pytest.raises(CollinearColumn) as caught:
         build_design(ds, preds, ModelSpec(main_effects=("gender", "twin")))
+    assert caught.value.columns == ("gender=Woman", "twin=Woman")
 
 
 def test_reference_relabeling_preserves_fitted_probabilities():
