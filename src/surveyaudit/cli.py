@@ -191,7 +191,7 @@ def _population_spec_from(section) -> "synth_mod.PopulationSpec":
             correctness_intercept=float(correctness.get("intercept", 1.0)),
             correctness_beta=dict(correctness.get("beta") or {}),
             unparseable_rate=float(section.get("unparseable_rate", 0.0)),
-            seed=_integer(section.get("seed", 0), "synthetic.seed"),
+            seed=_integer(section.get("seed", 0), "synthetic.seed", minimum=0),
         )
     except KeyError as exc:
         raise ConfigError(f"synthetic: missing key {exc.args[0]!r}") from None

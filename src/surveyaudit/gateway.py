@@ -254,19 +254,16 @@ def parse_response(raw_text: str, options: Sequence[str]) -> Optional[int]:
 
 
 class MockBackend:
-    """Deterministic offline backend; replies are computed locally."""
+    """Deterministic offline backend; ``reply_fn`` computes each reply
+    locally."""
 
     def __init__(self, config: BackendConfig,
-                 reply_fn: Optional[Callable[[RenderedPrompt], str]] = None):
+                 reply_fn: Callable[[RenderedPrompt], str]):
         self.config = config
         self._reply_fn = reply_fn
 
     def complete(self, prompt: RenderedPrompt) -> str:
-        if self._reply_fn is not None:
-            return self._reply_fn(prompt)
-        # default: first listed option, read back from the prompt text
-        m = re.search(r"(?:^|\n)1\. (.+)", prompt.text)
-        return m.group(1).strip() if m else ""
+        return self._reply_fn(prompt)
 
 
 class ReplayBackend:
@@ -376,8 +373,7 @@ class RemoteChatBackend:
 
 def build_backend(config: BackendConfig, cache: ExchangeCache,
                   reply_fn: Optional[Callable[[RenderedPrompt], str]] = None):
-    """The backend of ``config``; ``reply_fn`` is a mock's reply function
-    (without one, a mock answers the prompt's first numbered line)."""
+    """The backend of ``config``; ``reply_fn`` is a mock's reply function."""
     if config.kind == "mock":
         return MockBackend(config, reply_fn)
     if config.kind == "replay":

@@ -15,7 +15,6 @@ import enum
 import functools
 import random
 import string
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
@@ -126,26 +125,6 @@ def ablation_plan(
     return plan
 
 
-class _Skipping(SequenceABC):
-    """A read-only view of ``items`` without the item at position ``skip``
-    (``None``: without none).  Its length and item order are those of the
-    list with that item removed, so ``random.sample`` draws the same ids
-    from it, in O(k) instead of the O(N) of building that list."""
-
-    def __init__(self, items: Sequence[str], skip: Optional[int]):
-        self._items = items
-        self._skip = len(items) if skip is None else skip
-        self._len = len(items) - (skip is not None)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i: int) -> str:
-        if not 0 <= i < self._len:
-            raise IndexError(i)
-        return self._items[i + (i >= self._skip)]
-
-
 def sample_fewshot(
     dataset: Dataset,
     case: SurveyCase,
@@ -159,13 +138,18 @@ def sample_fewshot(
     Deterministic for a fixed (dataset, case, k, exclude, seed).
     """
     answered, position = dataset.answered(case)
-    eligible = _Skipping(answered, position.get(exclude))
-    if k > len(eligible):
+    skip = position.get(exclude, len(answered))
+    eligible = len(answered) - (exclude in position)
+    if k > eligible:
         raise InsufficientExamples(
             f"need {k} examples for case {case.question_id!r} but only "
-            f"{len(eligible)} eligible respondents"
+            f"{eligible} eligible respondents"
         )
-    return random.Random(seed).sample(eligible, k)
+    # random.sample reads only its population's length and items, so the
+    # positions it draws, stepped over the target's, are the ids it would
+    # draw from the list without the target: O(k) instead of O(N)
+    return [answered[i + (i >= skip)]
+            for i in random.Random(seed).sample(range(eligible), k)]
 
 
 def _attribute_block(profile: SocioProfile, included: tuple[str, ...]) -> str:

@@ -20,7 +20,7 @@ import yaml
 from . import forest as forest_mod
 from . import metrics as metrics_mod
 from .bundle import CellResult, ReportBundle, write_bundle
-from .data import Dataset, SurveyCase, load_dataset
+from .data import Dataset, SocioProfile, SurveyCase, load_dataset
 from .errors import BackendUnavailable, ConfigError, Unfittable
 from .gateway import (BackendConfig, ExchangeCache, Prediction, build_backend,
                       run_batch)
@@ -79,11 +79,9 @@ def load_config(path: str | Path, seed: Optional[int] = None
         raise ConfigError(f"config is not valid YAML: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
-    unknown = set(raw) - set(_CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"config: unknown fields {sorted(map(str, unknown))}")
+    raw = _mapping(raw, "config", _CONFIG_KEYS)
 
-    ds = _mapping(raw.get("dataset") or {}, "dataset")
+    ds = _mapping(raw.get("dataset") or {}, "dataset", ("csv", "schema"))
     if "csv" not in ds or "schema" not in ds:
         raise ConfigError("config needs dataset.csv and dataset.schema")
     backends = [_mapping(entry, "backend entry")
@@ -99,12 +97,13 @@ def load_config(path: str | Path, seed: Optional[int] = None
         if not isinstance(v, str) or v not in _VARIANTS:
             raise ConfigError(f"unknown prompt variant {v!r}")
 
-    config_seed = _integer(raw.get("seed", 0), "seed")
-    seed = config_seed if seed is None else seed
-    fewshot = _mapping(raw.get("fewshot") or {}, "fewshot")
+    # numpy seeds no generator with a negative integer
+    config_seed = _integer(raw.get("seed", 0), "seed", minimum=0)
+    seed = config_seed if seed is None else _integer(seed, "--seed", minimum=0)
+    fewshot = _mapping(raw.get("fewshot") or {}, "fewshot", ("k",))
     fewshot_k = _integer(fewshot.get("k", DEFAULT_FEWSHOT_K), "fewshot.k")
     forest = _mapping(raw.get("forest") or {}, "forest")
-    forest_seed = _integer(forest.pop("seed", seed), "forest.seed")
+    forest_seed = _integer(forest.pop("seed", seed), "forest.seed", minimum=0)
     ablation = raw.get("ablation", False)
     if not isinstance(ablation, bool):
         raise ConfigError(f"ablation: expected bool, got {ablation!r}")
@@ -133,7 +132,7 @@ def load_config(path: str | Path, seed: Optional[int] = None
     base = path.parent
 
     def resolve(p, key: str):
-        if not isinstance(p, str):
+        if not isinstance(p, str) or not p:
             raise ConfigError(f"{key}: expected a path, got {p!r}")
         p = Path(p)
         return p if p.is_absolute() else base / p
@@ -156,7 +155,8 @@ def load_config(path: str | Path, seed: Optional[int] = None
         equality_tolerance=tolerance,
         equality_pairs=[tuple(p) for p in pairs],
         seed=seed,
-        cache_path=resolve(raw["cache"], "cache") if raw.get("cache") else None,
+        cache_path=(None if raw.get("cache") is None
+                    else resolve(raw["cache"], "cache")),
         out_dir=resolve(raw.get("output", "out"), "output"),
         config_hash=hashlib.sha256(raw_bytes).hexdigest(),
     )
@@ -191,19 +191,25 @@ def _list(raw: dict, key: str) -> list:
     return value
 
 
-def _integer(value, what: str) -> int:
-    """``value`` when it is an integer (a bool is none), else a
-    ``ConfigError`` naming ``what``."""
+def _integer(value, what: str, minimum: Optional[int] = None) -> int:
+    """``value`` when it is an integer (a bool is none) of at least
+    ``minimum``, else a ``ConfigError`` naming ``what``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what}: expected int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{what}: expected int >= {minimum}, got {value}")
     return value
 
 
-def _mapping(value, what: str) -> dict:
-    """A copy of ``value`` when it is a YAML mapping, else a ``ConfigError``
-    naming ``what``: a list of pairs is no mapping."""
+def _mapping(value, what: str, keys: Optional[Sequence[str]] = None) -> dict:
+    """A copy of ``value`` when it is a YAML mapping whose keys are all in
+    ``keys`` (any keys when None), else a ``ConfigError`` naming ``what``:
+    a list of pairs is no mapping."""
     if not isinstance(value, dict):
         raise ConfigError(f"{what}: expected dict, got {value!r}")
+    unknown = set(value) - set(value if keys is None else keys)
+    if unknown:
+        raise ConfigError(f"{what}: unknown fields {sorted(map(str, unknown))}")
     return dict(value)
 
 
@@ -307,15 +313,23 @@ def _select_cases(dataset: Dataset, cfg: ExperimentConfig) -> list[SurveyCase]:
     return [c for c in dataset.cases if c.question_id in cfg.case_ids]
 
 
+# each respondent's few-shot examples, as (profile, answer) pairs
+Examples = Mapping[str, Sequence[tuple[SocioProfile, int]]]
+
+
 def draw_fewshot(dataset: Dataset, case: SurveyCase, k: int,
-                 seed: int) -> dict[str, list[str]]:
-    """Each respondent with a known answer mapped to the ids of its k
-    few-shot examples.  The draw depends on (seed, case, respondent) only,
-    so one draw serves every variant and mask of the case."""
+                 seed: int) -> Examples:
+    """Each respondent with a known answer mapped to its k few-shot
+    examples.  The draw depends on (seed, case, respondent) only, so one
+    draw serves every variant and mask of the case.  A respondent's pair is
+    built once and shared by every draw that shows it."""
+    answered = dataset.answered(case)[0]
+    pairs = {rid: (dataset.profile(rid), case.answers[rid]) for rid in answered}
     return {
-        rid: sample_fewshot(dataset, case, k, exclude=rid,
-                            seed=_fewshot_seed(seed, case.question_id, rid))
-        for rid in dataset.answered(case)[0]
+        rid: [pairs[i] for i in sample_fewshot(
+            dataset, case, k, exclude=rid,
+            seed=_fewshot_seed(seed, case.question_id, rid))]
+        for rid in answered
     }
 
 
@@ -324,17 +338,14 @@ def render_case_prompts(
     case: SurveyCase,
     variant: PromptVariant,
     mask: AblationMask,
-    examples: Optional[Mapping[str, Sequence[str]]],
+    examples: Optional[Examples],
 ):
     """Render one prompt per respondent with a known answer, in profile
-    order; few-shot variants show the examples that ``examples`` names."""
-    answered = dataset.answered(case)[0]
-    # (profile, answer) of every respondent that can be shown as an example
-    pairs = {rid: (dataset.profile(rid), case.answers[rid]) for rid in answered}
+    order; few-shot variants show the examples ``examples`` gives."""
     return [
-        render(pairs[rid][0], case, variant, mask,
-               [pairs[i] for i in examples[rid]] if variant.uses_fewshot else [])
-        for rid in answered
+        render(dataset.profile(rid), case, variant, mask,
+               examples[rid] if variant.uses_fewshot else [])
+        for rid in dataset.answered(case)[0]
     ]
 
 
@@ -491,7 +502,7 @@ def run_experiment(cfg: ExperimentConfig, offline: bool = False) -> ReportBundle
 
 def _run_cell(dataset: Dataset, cfg: ExperimentConfig, backend,
               cache: ExchangeCache, case: SurveyCase, variant: PromptVariant,
-              mask: AblationMask, examples: Optional[Mapping[str, Sequence[str]]],
+              mask: AblationMask, examples: Optional[Examples],
               base: metrics_mod.MetricReport) -> CellResult:
     """Render, dispatch and score one (backend, case, variant, mask) cell;
     ``base`` is the case's forest report."""

@@ -246,7 +246,7 @@ def test_scalar_main_effects_all(tmp_path):
         assert attr in md
 
 
-def _fails_before_any_work(tmp_path, monkeypatch, extra):
+def _fails_before_any_work(tmp_path, monkeypatch, extra, args=()):
     write_population(tmp_path)
     cfg = write_config(tmp_path, extra=extra)
 
@@ -254,7 +254,8 @@ def _fails_before_any_work(tmp_path, monkeypatch, extra):
         raise AssertionError("the forest ran before the config was checked")
 
     monkeypatch.setattr(runner_mod.forest_mod, "baseline_metrics", no_forest)
-    result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--offline"])
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--offline",
+                                       *args])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # a ClickException
     assert not (tmp_path / "out").exists()
@@ -413,6 +414,20 @@ def test_interaction_outside_main_effects_fails_before_any_work(
     ("equality_pairs: [[gender, gender]]\n",
      "Error: equality_pairs: a pair names one attribute twice, got "
      "['gender', 'gender']"),
+    ("fewshot: {kk: 2}\n", "Error: fewshot: unknown fields ['kk']"),
+    ("dataset: {csv: data.csv, schema: schema.yaml, weights: w}\n",
+     "Error: dataset: unknown fields ['weights']"),
+    ("forest: {n_trees: 20, seed: -4}\n",
+     "Error: forest.seed: expected int >= 0, got -4"),
+    ("seed: -1\nforest: {n_trees: 20}\n",
+     "Error: seed: expected int >= 0, got -1"),
+    ("seed: -1\n", "Error: seed: expected int >= 0, got -1"),
+    ("dataset: {csv: '', schema: schema.yaml}\n",
+     "Error: dataset.csv: expected a path, got ''"),
+    ("dataset: {csv: data.csv, schema: ''}\n",
+     "Error: dataset.schema: expected a path, got ''"),
+    ("output: ''\n", "Error: output: expected a path, got ''"),
+    ("cache: ''\n", "Error: cache: expected a path, got ''"),
 ], ids=["forest_key", "n_trees", "min_samples_leaf", "max_depth",
         "features_per_split", "backend_name", "backend_kind", "fewshot_k_0",
         "fewshot_k_negative", "variant", "mask", "fewshot_k_above_eligible",
@@ -435,11 +450,20 @@ def test_interaction_outside_main_effects_fails_before_any_work(
         "political_empty", "variant_and_variants", "dataset_pairs",
         "fewshot_pairs", "forest_pairs", "backend_entry_pairs",
         "regression_entry_pairs", "regression_names", "masks_and_ablation",
-        "equality_pair_of_one_attribute"])
+        "equality_pair_of_one_attribute", "fewshot_unknown_key",
+        "dataset_unknown_key", "forest_seed_negative", "seed_negative",
+        "seed_negative_with_forest_seed", "dataset_csv_empty",
+        "dataset_schema_empty", "output_empty", "cache_empty"])
 def test_config_mistake_fails_before_any_work(tmp_path, monkeypatch, extra,
                                               message):
     # a key repeated in ``extra`` overrides write_config's, as YAML loads it
     assert message in _fails_before_any_work(tmp_path, monkeypatch, extra)
+
+
+def test_negative_seed_option_fails_before_any_work(tmp_path, monkeypatch):
+    output = _fails_before_any_work(tmp_path, monkeypatch, "",
+                                    args=["--seed", "-2"])
+    assert "Error: --seed: expected int >= 0, got -2" in output
 
 
 # The names perfbench's tracer wraps on runner: each must stay a global of
@@ -545,7 +569,11 @@ def test_synth_command(tmp_path):
     ("synthetic:\n  n: ten\n  attributes: []\n  cases: []\n",
      "Error: synthetic.n: expected int, got 'ten'"),
     ("- synthetic\n", "Error: config needs a 'synthetic' section"),
-], ids=["missing_attributes", "n_not_int", "top_level_list"])
+    ("synthetic:\n  n: 50\n  seed: -3\n  attributes:\n"
+     "    - {name: g, categories: [M, W], reference: M, marginals: [.5, .5]}\n"
+     "  cases:\n    - {id: q1, options: [A, B], probs: [.6, .4]}\n",
+     "Error: synthetic.seed: expected int >= 0, got -3"),
+], ids=["missing_attributes", "n_not_int", "top_level_list", "seed_negative"])
 def test_synth_config_mistake_is_a_cli_error(tmp_path, text, message):
     cfg = tmp_path / "synth.yaml"
     cfg.write_text(text)

@@ -103,13 +103,6 @@ def test_parse_deterministic_total():
 
 # --- backends and cache ---
 
-def test_mock_first_option():
-    ds = make_dataset(n=3)
-    backend = MockBackend(BackendConfig(name="m", kind="mock"))
-    raw = backend.complete(prompt_for(ds))
-    assert raw == "Left"
-
-
 def test_cache_round_trip(tmp_path):
     cache = ExchangeCache(tmp_path / "cache.jsonl")
     key = cache_key("p", "m", 0.0)
@@ -218,7 +211,8 @@ def test_run_batch_totality_and_order():
     ds = make_dataset(n=100)
     case = ds.cases[0]
     prompts = [prompt_for(ds, i) for i in range(100)]
-    backend = MockBackend(BackendConfig(name="m", kind="mock"))
+    backend = MockBackend(BackendConfig(name="m", kind="mock"),
+                          reply_fn=lambda p: "Left")
     preds = run_batch(prompts, {case.question_id: case.options}, backend)
     assert len(preds) == 100
     assert all(p.parsed == 0 for p in preds)
