@@ -17,7 +17,8 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .data import AttributeSchema
-from .gateway import Prediction
+from .errors import MalformedLog
+from .gateway import Prediction, Predictions
 from .metrics import (
     EqualityVerdict,
     MetricReport,
@@ -35,7 +36,7 @@ class CellResult:
     variant: str
     mask_label: str
     report: Optional[MetricReport]
-    predictions: list[Prediction]
+    predictions: Sequence[Prediction]
 
 
 @dataclass
@@ -148,33 +149,72 @@ def prediction_lines(cell: CellResult) -> str:
     order with the default separators; the cell's fields are escaped once.
     """
     mask, variant = _json_str(cell.mask_label), _json_str(cell.variant)
+    p = Predictions.of(cell.predictions)
     return "".join([
-        f'{{"backend": {_json_str(p.backend)}, "mask": {mask}, '
-        f'"note": {_json_str(p.note)}, '
-        f'"parsed": {"null" if p.parsed is None else int.__repr__(p.parsed)}, '
-        f'"question_id": {_json_str(p.question_id)}, '
-        f'"raw_text": {_json_str(p.raw_text)}, '
-        f'"respondent_id": {_json_str(p.respondent_id)}, '
+        f'{{"backend": {_json_str(backend)}, "mask": {mask}, '
+        f'"note": {_json_str(note)}, '
+        f'"parsed": {"null" if parsed is None else int.__repr__(parsed)}, '
+        f'"question_id": {_json_str(qid)}, '
+        f'"raw_text": {_json_str(raw)}, '
+        f'"respondent_id": {_json_str(rid)}, '
         f'"variant": {variant}}}\n'
-        for p in cell.predictions
+        for rid, qid, backend, raw, parsed, note in zip(
+            p.respondent_ids, p.question_ids, p.backends, p.raw_texts,
+            p.parsed, p.notes)
     ])
+
+
+# the fields of a predictions.jsonl record, each with the type it must have
+_RECORD = {"respondent_id": str, "question_id": str, "backend": str,
+           "raw_text": str, "parsed": (int, type(None)), "note": str,
+           "variant": str, "mask": str}
+
+
+def _record(line: bytes, path, number: int) -> dict:
+    """Line ``number`` of the log at ``path`` as a record; a line that is no
+    JSON object with the record's fields, each of its type, raises
+    ``MalformedLog`` naming the file and the line."""
+    try:
+        rec = json.loads(line)
+    except ValueError as exc:
+        raise MalformedLog(f"{path}, line {number}: not JSON: {exc}") from None
+    if not isinstance(rec, dict):
+        raise MalformedLog(f"{path}, line {number}: expected a JSON object")
+    missing = [k for k in _RECORD if k not in rec]
+    if missing:
+        raise MalformedLog(f"{path}, line {number}: missing fields {missing}")
+    wrong = [k for k, kind in _RECORD.items()
+             if not isinstance(rec[k], kind) or isinstance(rec[k], bool)]
+    if wrong:
+        raise MalformedLog(f"{path}, line {number}: wrong type of {wrong}")
+    return rec
 
 
 def read_cells(path: str | Path) -> list[CellResult]:
     """The cells of a ``predictions.jsonl`` written by ``write_bundle``,
-    in file order, without their reports."""
-    with open(path, encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
-    cells = itertools.groupby(records, key=lambda r: (
-        r["backend"], r["question_id"], r["variant"], r["mask"]))
-    return [
-        CellResult(*key, report=None, predictions=[
-            Prediction(r["respondent_id"], r["question_id"], r["backend"],
-                       r["raw_text"], r["parsed"], note=r["note"])
-            for r in group
-        ])
-        for key, group in cells
-    ]
+    in file order, without their reports.  The predictions are read into
+    columns, a value that recurs is kept once, and a line that is no such
+    record raises ``MalformedLog`` naming the file and the line."""
+    columns: dict[str, list] = {k: [] for k in _RECORD}
+    share: dict = {}
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                rec = _record(line, path, number)
+                for k, column in columns.items():
+                    column.append(share.setdefault(rec[k], rec[k]))
+    cells, start = [], 0
+    for key, group in itertools.groupby(zip(
+            columns["backend"], columns["question_id"], columns["variant"],
+            columns["mask"])):
+        part = slice(start, start + sum(1 for _ in group))
+        start = part.stop
+        cells.append(CellResult(*key, report=None, predictions=Predictions(
+            *(tuple(columns[k][part]) for k in (
+                "respondent_id", "question_id", "backend", "raw_text",
+                "parsed")),
+            notes=tuple(columns["note"][part]))))
+    return cells
 
 
 def write_regressions(out: Path, regressions: dict[str, dict]) -> None:

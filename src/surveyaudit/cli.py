@@ -25,8 +25,11 @@ from .runner import (
 
 def _load(config_path: str, out: str | None,
           seed: int | None = None) -> ExperimentConfig:
+    if out == "":
+        # as ``output: ''`` is refused, not replaced by the config's output
+        raise ConfigError("--out: expected a path, got ''")
     cfg = load_config(config_path, seed)
-    if out:
+    if out is not None:
         cfg.out_dir = Path(out)
     return cfg
 

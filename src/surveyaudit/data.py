@@ -20,6 +20,7 @@ import numpy as np
 import yaml
 
 from .errors import (
+    ConfigError,
     DuplicateRespondent,
     EmptyDataset,
     MissingColumn,
@@ -196,23 +197,53 @@ def load_schema(schema_path: str | Path) -> tuple[AttributeSchema, list[dict]]:
     """Read the schema/codebook file.
 
     Returns the schema plus the raw question declarations (id, text,
-    options, country, context) in file order.
+    options, country, context) in file order.  A file that is not a
+    mapping, a missing or mistyped key, or an attribute that ``Attribute``
+    or ``AttributeSchema`` refuses raises ``ConfigError`` naming the file
+    and the key.
     """
-    raw = yaml.safe_load(Path(schema_path).read_text(encoding="utf-8"))
-    attrs = tuple(
-        Attribute(
-            name=a["name"],
-            categories=tuple(str(c) for c in a["categories"]),
-            reference=str(a["reference"]),
+    path = Path(schema_path)
+    try:
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"schema {path}: not valid YAML: {exc}") from None
+
+    def get(mapping, key: str, kind: type, where: str = ""):
+        """``mapping[key]`` when ``mapping`` is a mapping and the value a
+        ``kind``; ``where`` names the mapping."""
+        name = f"{where}.{key}" if where else key
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"schema {path}: {where or 'file'}: expected "
+                              f"a mapping, got {mapping!r}")
+        if key not in mapping:
+            raise ConfigError(f"schema {path}: missing key {name!r}")
+        if not isinstance(mapping[key], kind):
+            raise ConfigError(f"schema {path}: {name}: expected "
+                              f"{kind.__name__}, got {mapping[key]!r}")
+        return mapping[key]
+
+    id_column = get(raw, "id_column", str)
+    try:
+        attrs = tuple(
+            Attribute(
+                name=get(a, "name", str, f"attributes[{i}]"),
+                categories=tuple(str(c) for c in get(
+                    a, "categories", list, f"attributes[{i}]")),
+                reference=str(get(a, "reference", object, f"attributes[{i}]")),
+            )
+            for i, a in enumerate(get(raw, "attributes", list))
         )
-        for a in raw["attributes"]
-    )
-    questions = raw.get("questions", [])
-    schema = AttributeSchema(
-        attributes=attrs,
-        id_column=raw["id_column"],
-        answer_columns=tuple(q["id"] for q in questions),
-    )
+        questions = get(raw, "questions", list) if "questions" in raw else []
+        for i, q in enumerate(questions):
+            get(q, "id", str, f"questions[{i}]")
+            get(q, "options", list, f"questions[{i}]")
+        schema = AttributeSchema(
+            attributes=attrs,
+            id_column=id_column,
+            answer_columns=tuple(q["id"] for q in questions),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"schema {path}: {exc}") from None
     return schema, questions
 
 
@@ -266,17 +297,20 @@ def load_dataset(csv_path: str | Path, schema_path: str | Path) -> Dataset:
                 raise UnknownCategory(rownum, qid, row[qid])
             answers[qid][rid] = option_index[qid][label]
 
-    cases = tuple(
-        SurveyCase(
-            question_id=q["id"],
-            question_text=q.get("text", q["id"]),
-            options=tuple(str(o) for o in q["options"]),
-            country=q.get("country", ""),
-            context_blurb=q.get("context"),
-            answers=answers[q["id"]],
+    try:
+        cases = tuple(
+            SurveyCase(
+                question_id=q["id"],
+                question_text=q.get("text", q["id"]),
+                options=tuple(str(o) for o in q["options"]),
+                country=q.get("country", ""),
+                context_blurb=q.get("context"),
+                answers=answers[q["id"]],
+            )
+            for q in questions
         )
-        for q in questions
-    )
+    except ValueError as exc:
+        raise ConfigError(f"schema {schema_path}: {exc}") from None
     return Dataset(schema=schema, profiles=tuple(profiles), cases=cases)
 
 

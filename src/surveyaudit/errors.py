@@ -114,6 +114,12 @@ class Singular(Unfittable):
     pass
 
 
+# --- report bundle ---
+
+class MalformedLog(SurveyAuditError):
+    pass
+
+
 # --- synthetic populations ---
 
 class InvalidSpec(SurveyAuditError):

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import AttributeSchema, Dataset, SurveyCase, distinct_rows
-from .gateway import Prediction
+from .gateway import Predictions
 from .metrics import MetricReport, compute_report
 
 
@@ -347,15 +347,9 @@ def baseline_metrics(
     battery applied to model predictions."""
     model = fit_in_sample(dataset, case, params, seed)
     ids = dataset.answered(case)[0]
-    predictions = [
-        Prediction(
-            respondent_id=rid,
-            question_id=case.question_id,
-            backend="in_sample_forest",
-            raw_text="",
-            parsed=parsed,
-        )
-        for rid, parsed in zip(ids, predict(model, dataset.coded.of(ids)))
-    ]
+    n = len(ids)
+    predictions = Predictions(
+        ids, (case.question_id,) * n, ("in_sample_forest",) * n, ("",) * n,
+        tuple(predict(model, dataset.coded.of(ids))))
     report = compute_report(dataset, predictions, case, backend="in_sample_forest")
     return report, model

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -19,10 +20,11 @@ import random
 import re
 import threading
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import AuthMissing, BackendUnavailable, RateLimited
 from .prompts import RenderedPrompt
@@ -83,6 +85,89 @@ class Prediction:
         """Whether the backend raised instead of replying: ``run_batch``
         notes a prediction only then."""
         return bool(self.note)
+
+
+class Predictions(Sequence[Prediction]):
+    """An immutable sequence of predictions held as one column per field.
+
+    The five text columns are tuples whose strings are shared with the
+    prompts, the replies and the other predictions; ``parsed`` is a tuple
+    of None or int, ``latency_ms`` an ``array('d')`` and ``cache_hits`` one
+    byte per prediction.  A ``Prediction`` is built only when an item is
+    read.  Omitted latencies are 0.0, cache hits False and notes empty, as
+    in ``Prediction``.  The columns are not changed after they are built.
+    """
+
+    __slots__ = ("respondent_ids", "question_ids", "backends", "raw_texts",
+                 "parsed", "latency_ms", "cache_hits", "notes")
+
+    def __init__(self, respondent_ids: tuple[str, ...],
+                 question_ids: tuple[str, ...], backends: tuple[str, ...],
+                 raw_texts: tuple[str, ...], parsed: tuple[Optional[int], ...],
+                 latency_ms: Optional[array] = None,
+                 cache_hits: Optional[bytes] = None,
+                 notes: Optional[tuple[str, ...]] = None):
+        n = len(respondent_ids)
+        self.respondent_ids = respondent_ids
+        self.question_ids = question_ids
+        self.backends = backends
+        self.raw_texts = raw_texts
+        self.parsed = parsed
+        self.latency_ms = (array("d", bytes(8 * n)) if latency_ms is None
+                           else latency_ms)
+        self.cache_hits = bytes(n) if cache_hits is None else cache_hits
+        self.notes = ("",) * n if notes is None else notes
+        if any(len(getattr(self, c)) != n for c in self.__slots__):
+            raise ValueError("prediction columns differ in length")
+
+    @classmethod
+    def of(cls, predictions: Sequence[Prediction]) -> "Predictions":
+        """``predictions`` itself when it is a ``Predictions``, else its
+        records as columns."""
+        if isinstance(predictions, cls):
+            return predictions
+        return cls(tuple(p.respondent_id for p in predictions),
+                   tuple(p.question_id for p in predictions),
+                   tuple(p.backend for p in predictions),
+                   tuple(p.raw_text for p in predictions),
+                   tuple(p.parsed for p in predictions),
+                   array("d", [p.latency_ms for p in predictions]),
+                   bytes([p.cache_hit for p in predictions]),
+                   tuple(p.note for p in predictions))
+
+    @classmethod
+    def join(cls, parts: Iterable[Sequence[Prediction]]) -> "Predictions":
+        """The predictions of every part, in order, as one container."""
+        parts = [cls.of(p) for p in parts]
+
+        def column(name):
+            return itertools.chain.from_iterable(getattr(p, name)
+                                                 for p in parts)
+
+        return cls(tuple(column("respondent_ids")),
+                   tuple(column("question_ids")),
+                   tuple(column("backends")), tuple(column("raw_texts")),
+                   tuple(column("parsed")), array("d", column("latency_ms")),
+                   bytes(column("cache_hits")), tuple(column("notes")))
+
+    def __len__(self) -> int:
+        return len(self.respondent_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Predictions(*(getattr(self, c)[i] for c in self.__slots__))
+        return Prediction(self.respondent_ids[i], self.question_ids[i],
+                          self.backends[i], self.raw_texts[i], self.parsed[i],
+                          self.latency_ms[i], bool(self.cache_hits[i]),
+                          self.notes[i])
+
+    def __iter__(self):
+        return map(Prediction, self.respondent_ids, self.question_ids,
+                   self.backends, self.raw_texts, self.parsed, self.latency_ms,
+                   map(bool, self.cache_hits), self.notes)
+
+    def __repr__(self) -> str:
+        return f"<Predictions of {len(self)}>"
 
 
 def cache_key(prompt_text: str, model_id: str, temperature: float,
@@ -407,7 +492,7 @@ def run_batch(
     options_by_case: Mapping[str, Sequence[str]],
     backend,
     cache: Optional[ExchangeCache] = None,
-) -> list[Prediction]:
+) -> Predictions:
     """Execute a batch, output order-aligned with the input.
 
     Prompts that share a cache key share one send: the first of each key is
@@ -416,7 +501,8 @@ def run_batch(
     to every prompt, since its reply may depend on the target.  Each
     distinct (reply, case) is parsed once.  Per-prompt failures become
     unparseable predictions with a note, which ``Prediction.failed`` reads;
-    only configuration-level errors abort the batch.
+    only configuration-level errors abort the batch.  The result's columns
+    are filled directly; no per-prompt object is made.
     """
     config: BackendConfig = backend.config
 
@@ -443,15 +529,22 @@ def run_batch(
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
             replies = dict(zip(first, pool.map(send, first.values())))
 
+    got = [replies[key] for key in keys]
+    case_ids = tuple(p.case_id for p in prompts)
     parses: dict[tuple[str, str], Optional[int]] = {}  # (reply, case) -> parse
-    predictions = []
-    for i, (prompt, key) in enumerate(zip(prompts, keys)):
-        raw, hit, latency_ms, note = replies[key]
-        if not note and (raw, prompt.case_id) not in parses:
-            parses[raw, prompt.case_id] = parse_response(
-                raw, options_by_case[prompt.case_id])
-        parsed = UNPARSEABLE if note else parses[raw, prompt.case_id]
-        predictions.append(Prediction(
-            prompt.target_id, prompt.case_id, config.name, raw, parsed,
-            latency_ms, hit or (first[key] != i and not note), note))
-    return predictions
+    parsed = []
+    for (raw, _, _, note), case_id in zip(got, case_ids):
+        if note:
+            parsed.append(UNPARSEABLE)
+            continue
+        if (raw, case_id) not in parses:
+            parses[raw, case_id] = parse_response(raw,
+                                                  options_by_case[case_id])
+        parsed.append(parses[raw, case_id])
+    return Predictions(
+        tuple(p.target_id for p in prompts), case_ids,
+        (config.name,) * len(prompts), tuple(r[0] for r in got), tuple(parsed),
+        array("d", [r[2] for r in got]),
+        bytes([hit or (first[key] != i and not note)
+               for i, (key, (_, hit, _, note)) in enumerate(zip(keys, got))]),
+        tuple(r[3] for r in got))

@@ -25,7 +25,7 @@ from .errors import (
     UnknownRespondent,
     ZeroBaseline,
 )
-from .gateway import Prediction
+from .gateway import Prediction, Predictions
 
 POLICY_INCORRECT = "incorrect"
 POLICY_EXCLUDE = "exclude"
@@ -99,23 +99,24 @@ def outcome_codes(
     respondent has no true answer for it, raises ``UnknownRespondent``
     naming the question or the respondent.
     """
+    predictions = Predictions.of(predictions)
     position = {c.question_id: q for q, c in enumerate(cases)}
     try:
-        where = [position[p.question_id] for p in predictions]
+        where = [position[qid] for qid in predictions.question_ids]
     except KeyError as exc:
         raise UnknownRespondent(
             f"question {exc.args[0]!r} is not among the scored cases "
             f"{list(position)}") from None
     answers = [c.answers for c in cases]
     try:
-        truth = [answers[q][p.respondent_id]
-                 for q, p in zip(where, predictions)]
+        truth = [answers[q][rid]
+                 for q, rid in zip(where, predictions.respondent_ids)]
     except KeyError as exc:
-        qid = next(p.question_id for q, p in zip(where, predictions)
-                   if p.respondent_id not in answers[q])
+        rows = zip(where, predictions.respondent_ids, predictions.question_ids)
+        qid = next(qid for q, rid, qid in rows if rid not in answers[q])
         raise UnknownRespondent(
             f"no true answer for {exc.args[0]!r} in case {qid!r}") from None
-    parsed = [UNPARSED if p.parsed is None else p.parsed for p in predictions]
+    parsed = [UNPARSED if v is None else v for v in predictions.parsed]
     return (np.array(where, dtype=np.intp), np.array(truth, dtype=np.intp),
             np.array(parsed, dtype=np.intp))
 
@@ -281,6 +282,7 @@ def compute_report(
     """
     if not predictions:
         raise EmptyPredictions("no predictions to report on")
+    predictions = Predictions.of(predictions)
     _, answers, parsed = outcome_codes(predictions, (case,))
     if (parsed == UNPARSED).all():
         raise AllUnparseable(
@@ -301,6 +303,7 @@ def unparsed_report(
     is flagged."""
     if not predictions:
         raise EmptyPredictions("no predictions to report on")
+    predictions = Predictions.of(predictions)
     _, answers, parsed = outcome_codes(predictions, (case,))
     return _report(dataset, predictions, case, backend, POLICY_INCORRECT,
                    answers, parsed)
@@ -308,7 +311,7 @@ def unparsed_report(
 
 def _report(
     dataset: Dataset,
-    predictions: Sequence[Prediction],
+    predictions: Predictions,
     case: SurveyCase,
     backend: str,
     policy: str,
@@ -320,7 +323,7 @@ def _report(
                           n_options, policy)
     acc, overall_jss, _ = _scores(overall, 0)
 
-    codes = dataset.coded.of(p.respondent_id for p in predictions)
+    codes = dataset.coded.of(predictions.respondent_ids)
     weighted: dict[str, float] = {}
     pg_acc: dict[str, dict[str, Optional[float]]] = {}
     pg_jss: dict[str, dict[str, Optional[float]]] = {}
@@ -374,8 +377,9 @@ def intersection_accuracy(
     """
     schema = dataset.schema
     a, b = schema.attribute(attr_a), schema.attribute(attr_b)
+    predictions = Predictions.of(predictions)
     _, answers, parsed = outcome_codes(predictions, (case,))
-    codes = dataset.coded.of(p.respondent_id for p in predictions)
+    codes = dataset.coded.of(predictions.respondent_ids)
     cells = (codes[:, schema.names.index(attr_a)] * len(b.categories)
              + codes[:, schema.names.index(attr_b)])
     tally = group_tally(cells, len(a.categories) * len(b.categories), answers,

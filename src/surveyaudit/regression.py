@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset, distinct_rows
 from .errors import (CollinearColumn, EmptyDesign, Separation, Singular,
                      Unfittable)
-from .gateway import Prediction
+from .gateway import Prediction, Predictions
 from .metrics import group_tally, outcome_codes
 
 SEPARATION_BETA = 30.0
@@ -100,11 +100,12 @@ def build_design(
     global intercept when fixed effects are on.  Interaction columns are
     elementwise products of the two non-reference dummies.
     """
+    predictions = Predictions.of(predictions)
     question, truth, parsed = outcome_codes(predictions, dataset.cases)
     attrs = [dataset.schema.names.index(a) for a in spec.main_effects]
     key = np.column_stack([
         question,
-        dataset.coded.of(p.respondent_id for p in predictions)[:, attrs],
+        dataset.coded.of(predictions.respondent_ids)[:, attrs],
     ])
     ids, cells = distinct_rows(key)
     n_options = max((len(c.options) for c in dataset.cases), default=0)

@@ -22,8 +22,8 @@ from . import metrics as metrics_mod
 from .bundle import CellResult, ReportBundle, write_bundle
 from .data import Dataset, SocioProfile, SurveyCase, load_dataset
 from .errors import BackendUnavailable, ConfigError, Unfittable
-from .gateway import (BackendConfig, ExchangeCache, Prediction, build_backend,
-                      run_batch)
+from .gateway import (BackendConfig, ExchangeCache, Prediction, Predictions,
+                      build_backend, run_batch)
 from .metrics import intersection_accuracy
 from .prompts import (
     DEFAULT_FEWSHOT_K,
@@ -508,12 +508,12 @@ def _run_cell(dataset: Dataset, cfg: ExperimentConfig, backend,
     ``base`` is the case's forest report."""
     bname = backend.config.name
     prompts = render_case_prompts(dataset, case, variant, mask, examples)
-    predictions = run_batch(prompts, {case.question_id: case.options},
-                            backend, cache)
+    predictions = Predictions.of(run_batch(
+        prompts, {case.question_id: case.options}, backend, cache))
     refuse_failures(bname, case.question_id, variant.value, mask.label(),
                     predictions)
     if (cfg.unparseable_policy == metrics_mod.POLICY_INCORRECT
-            and all(p.parsed is None for p in predictions)):
+            and all(v is None for v in predictions.parsed)):
         # replies that all fail to parse are scored; under 'exclude'
         # compute_report finds nothing to score and stops the run
         report = metrics_mod.unparsed_report(
@@ -534,7 +534,7 @@ def refuse_failures(backend: str, case_id: str, variant: str, mask: str,
     """Raise ``BackendUnavailable`` when the backend failed on any prompt of
     the cell, naming the cell, the failed count and the first failure: no
     failure is scored."""
-    failed = [p.note for p in predictions if p.failed]
+    failed = [note for note in Predictions.of(predictions).notes if note]
     if failed:
         outcome = ("gave no parsed reply for" if len(failed) == len(predictions)
                    else "failed on")
@@ -593,9 +593,10 @@ def fit_regressions(dataset: Dataset, specs: Sequence[ModelSpec],
     predictions; keys are ``<name>__<backend>``.  A model the predictions
     cannot identify keeps its error in place of the design and the fit, and
     the others still fit."""
-    pooled: dict[str, list[Prediction]] = {}
+    cells: dict[str, list[Sequence[Prediction]]] = {}
     for c in primary:
-        pooled.setdefault(c.backend, []).extend(c.predictions)
+        cells.setdefault(c.backend, []).append(c.predictions)
+    pooled = {bname: Predictions.join(parts) for bname, parts in cells.items()}
     regressions: dict[str, dict] = {}
     for spec in specs:
         for bname, predictions in pooled.items():

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from surveyaudit.bundle import CellResult, prediction_lines
-from surveyaudit.gateway import Prediction
+from surveyaudit.gateway import Prediction, Predictions
 
 # any code point, lone surrogates included, and the characters JSON escapes
 _text = st.text(st.characters() | st.characters(categories=["Cs"])
@@ -27,4 +27,8 @@ def test_prediction_lines_are_json_dumps_of_the_record(variant, mask,
                     "variant": variant, "mask": mask}, sort_keys=True)
         for p in predictions
     ]
+    columns = Predictions.of(predictions)
+    assert list(columns) == predictions
+    assert prediction_lines(CellResult("b", "q", variant, mask, None, columns)
+                            ) == prediction_lines(cell)
 

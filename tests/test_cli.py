@@ -460,6 +460,45 @@ def test_config_mistake_fails_before_any_work(tmp_path, monkeypatch, extra,
     assert message in _fails_before_any_work(tmp_path, monkeypatch, extra)
 
 
+def test_empty_out_option_fails_before_any_work(tmp_path, monkeypatch):
+    output = _fails_before_any_work(tmp_path, monkeypatch, "",
+                                    args=["--out", ""])
+    assert "Error: --out: expected a path, got ''" in output
+
+
+@pytest.mark.parametrize("command", [
+    ["ablation", "--offline"], ["prompt-sweep", "--offline"], ["report"],
+    ["regress", "--predictions", "config.yaml"]])
+def test_every_command_refuses_an_empty_out(tmp_path, command):
+    write_population(tmp_path)
+    cfg = write_config(tmp_path)
+    command = [str(tmp_path / a) if a == "config.yaml" else a for a in command]
+    result = CliRunner().invoke(main, [command[0], "--config", str(cfg),
+                                       *command[1:], "--out", ""])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException
+    assert "Error: --out: expected a path, got ''" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_schema_fails_before_any_work(tmp_path, monkeypatch):
+    write_population(tmp_path)
+    cfg = write_config(tmp_path)
+    schema = tmp_path / "schema.yaml"
+    schema.write_text(schema.read_text().replace("id_column:", "id_col:"))
+
+    def no_forest(*args, **kwargs):
+        raise AssertionError("the forest ran before the schema was checked")
+
+    monkeypatch.setattr(runner_mod.forest_mod, "baseline_metrics", no_forest)
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg),
+                                       "--offline"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException
+    assert f"Error: schema {schema}: missing key 'id_column'" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_option_fails_before_any_work(tmp_path, monkeypatch):
     output = _fails_before_any_work(tmp_path, monkeypatch, "",
                                     args=["--seed", "-2"])
@@ -760,6 +799,33 @@ def test_regress_names_an_unknown_respondent(tmp_path):
     assert ("Error: no true answer for 'nosuch' in case 'vote'"
             in result.output)
     assert "Traceback" not in result.output
+    assert not (tmp_path / "refit").exists()
+
+
+@pytest.mark.parametrize("damage, line, message", [
+    # a write cut short: the last line loses its closing bytes
+    (lambda text: text[:-40], 120, "not JSON: Unterminated string"),
+    (lambda text: text.replace(text.splitlines()[2], '{"a": 1}'), 3,
+     "missing fields ['respondent_id', 'question_id', 'backend', 'raw_text', "
+     "'parsed', 'note', 'variant', 'mask']"),
+], ids=["torn_last_line", "not_a_record"])
+def test_regress_names_a_malformed_log_line(tmp_path, damage, line, message):
+    write_population(tmp_path)
+    cfg = write_config(tmp_path, extra=textwrap.dedent("""\
+        regressions:
+          - {name: model1, main_effects: [gender]}
+    """))
+    runner = CliRunner()
+    assert runner.invoke(main, ["run", "--config", str(cfg),
+                                "--offline"]).exit_code == 0
+    log = tmp_path / "out" / "predictions.jsonl"
+    log.write_text(damage(log.read_text()))
+    result = runner.invoke(main, [
+        "regress", "--config", str(cfg), "--out", str(tmp_path / "refit"),
+        "--predictions", str(log)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException
+    assert f"Error: {log}, line {line}: {message}" in result.output
     assert not (tmp_path / "refit").exists()
 
 

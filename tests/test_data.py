@@ -4,6 +4,7 @@ import pytest
 from surveyaudit.data import (Dataset, SocioProfile, distinct_rows,
                               load_dataset, save_dataset)
 from surveyaudit.errors import (
+    ConfigError,
     DuplicateRespondent,
     EmptyDataset,
     MissingColumn,
@@ -73,6 +74,31 @@ def test_load_missing_value_rejected(tmp_path, schema_yaml):
     path.write_text("respondent_id,gender,age,vote\na1,,Adult,Left\n")
     with pytest.raises(UnknownCategory):
         load_dataset(path, schema_yaml)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.replace("id_column: respondent_id\n", ""),
+     "missing key 'id_column'"),
+    (lambda t: "id_column: respondent_id\n" + t[t.index("questions:"):],
+     "missing key 'attributes'"),
+    (lambda t: t.replace("[Man, Woman]", "[Man]"),
+     "attribute 'gender' needs >= 2 categories"),
+    (lambda t: t.replace("reference: Man", "reference: Nobody"),
+     "reference 'Nobody' is not a category of 'gender'"),
+    (lambda t: t.replace("    options: [Left, Right]\n", ""),
+     "missing key 'questions[0].options'"),
+    (lambda t: "- " + t.replace("\n", "\n  "),
+     "file: expected a mapping, got [{"),
+    (lambda t: t.replace("[Left, Right]", "[Left, Right, Left]"),
+     "case 'vote' needs >= 2 distinct options"),
+], ids=["no_id_column", "no_attributes", "one_category", "unknown_reference",
+        "question_without_options", "not_a_mapping", "repeated_option"])
+def test_malformed_schema_names_the_file_and_key(csv_file, schema_yaml, edit,
+                                                 message):
+    schema_yaml.write_text(edit(schema_yaml.read_text()))
+    with pytest.raises(ConfigError) as exc:
+        load_dataset(csv_file, schema_yaml)
+    assert str(exc.value).startswith(f"schema {schema_yaml}: {message}")
 
 
 def test_round_trip(tmp_path, csv_file, schema_yaml):

@@ -3,6 +3,7 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -219,6 +220,29 @@ def test_run_batch_totality_and_order():
     assert [p.respondent_id for p in preds] == [
         pr.target_id for pr in prompts
     ]
+
+
+def test_run_batch_result_memory_bounded():
+    # A batch's predictions are columns of shared strings and numbers: about
+    # 60 bytes a prediction, where a Prediction object each kept about 200.
+    ds = make_dataset(n=2000)
+    case = ds.cases[0]
+    prompts = [prompt_for(ds, i) for i in range(2000)]
+    options = {case.question_id: case.options}
+    backend = MockBackend(BackendConfig(name="m", kind="mock"),
+                          reply_fn=lambda p: "Left")
+    # warm the parser's caches, and fill the interpreter's free lists with
+    # the objects a batch makes and drops, so that they do not count as kept
+    run_batch(prompts, options, backend)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        preds = run_batch(prompts, options, backend)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(preds) == 2000 and preds[-1].respondent_id == "r1999"
+    assert kept / len(preds) < 100
 
 
 def test_run_batch_bounded_parallelism():
