@@ -7,20 +7,17 @@ from .data import AttributeSchema, Dataset, SocioProfile, SurveyCase, load_datas
 from .gateway import BackendConfig, Prediction, parse_response
 from .metrics import (
     MetricReport,
-    accuracy,
     compute_report,
-    empirical_distribution,
     harmonic_mean,
     jss,
     overall_accuracy_equality,
-    relative_ratio,
 )
 from .prompts import AblationMask, PromptVariant, RenderedPrompt, render
 
 __all__ = [
     "AttributeSchema", "Dataset", "SocioProfile", "SurveyCase", "load_dataset",
     "BackendConfig", "Prediction", "parse_response",
-    "MetricReport", "accuracy", "compute_report", "empirical_distribution",
-    "harmonic_mean", "jss", "overall_accuracy_equality", "relative_ratio",
+    "MetricReport", "compute_report", "harmonic_mean", "jss",
+    "overall_accuracy_equality",
     "AblationMask", "PromptVariant", "RenderedPrompt", "render",
 ]

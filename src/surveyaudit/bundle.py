@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 from .data import AttributeSchema
 from .errors import MalformedLog
-from .gateway import Prediction, Predictions
+from .gateway import Prediction, Predictions, checked_record
 from .metrics import (
     EqualityVerdict,
     MetricReport,
@@ -58,8 +58,7 @@ def fmt2(value: Optional[float]) -> str:
     return f"{round_half_away(value, 2):.2f}"
 
 
-def cell_with_ratio(value: float, baseline: Optional[float]) -> str:
-    ratio = ceiling_ratio(value, baseline)
+def cell_with_ratio(value: float, ratio: Optional[float]) -> str:
     return fmt2(value) if ratio is None else f"{fmt2(value)} ({fmt2(ratio)})"
 
 
@@ -84,7 +83,7 @@ def metric_table_markdown(
     models: Mapping[str, Mapping[str, MetricReport]],
 ) -> str:
     """One row per backend plus the in-sample forest row; Acc and JSS
-    columns per case, ratios in parentheses."""
+    columns per case, each model report's ceiling ratios in parentheses."""
     forest = ["*In-sample Random Forest*"]
     for cid in case_ids:
         forest += [fmt2(baseline[cid].accuracy), fmt2(baseline[cid].jss)]
@@ -92,9 +91,9 @@ def metric_table_markdown(
     for backend_name, per_case in models.items():
         row = [backend_name]
         for cid in case_ids:
-            rep, base = per_case[cid], baseline[cid]
-            row += [cell_with_ratio(rep.accuracy, base.accuracy),
-                    cell_with_ratio(rep.jss, base.jss)]
+            rep = per_case[cid]
+            row += [cell_with_ratio(rep.accuracy, rep.relative["accuracy"]),
+                    cell_with_ratio(rep.jss, rep.relative["jss"])]
         rows.append(row)
     return _table(_case_header("Model", case_ids), rows)
 
@@ -178,16 +177,7 @@ def _record(line: bytes, path, number: int) -> dict:
         rec = json.loads(line)
     except ValueError as exc:
         raise MalformedLog(f"{path}, line {number}: not JSON: {exc}") from None
-    if not isinstance(rec, dict):
-        raise MalformedLog(f"{path}, line {number}: expected a JSON object")
-    missing = [k for k in _RECORD if k not in rec]
-    if missing:
-        raise MalformedLog(f"{path}, line {number}: missing fields {missing}")
-    wrong = [k for k, kind in _RECORD.items()
-             if not isinstance(rec[k], kind) or isinstance(rec[k], bool)]
-    if wrong:
-        raise MalformedLog(f"{path}, line {number}: wrong type of {wrong}")
-    return rec
+    return checked_record(rec, _RECORD, path, number)
 
 
 def read_cells(path: str | Path) -> list[CellResult]:

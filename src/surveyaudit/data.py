@@ -197,14 +197,16 @@ def load_schema(schema_path: str | Path) -> tuple[AttributeSchema, list[dict]]:
     """Read the schema/codebook file.
 
     Returns the schema plus the raw question declarations (id, text,
-    options, country, context) in file order.  A file that is not a
-    mapping, a missing or mistyped key, or an attribute that ``Attribute``
-    or ``AttributeSchema`` refuses raises ``ConfigError`` naming the file
-    and the key.
+    options, country, context) in file order.  A file that cannot be read
+    or is not a mapping, a missing or mistyped key, or an attribute that
+    ``Attribute`` or ``AttributeSchema`` refuses raises ``ConfigError``
+    naming the file and the key.
     """
     path = Path(schema_path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"schema file {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"schema {path}: not valid YAML: {exc}") from None
 
@@ -251,12 +253,16 @@ def load_dataset(csv_path: str | Path, schema_path: str | Path) -> Dataset:
     """Load a respondent CSV against its schema/codebook file.
 
     Category matching is exact after surrounding-whitespace trim; rows with
-    unknown or empty values are rejected, never imputed.
+    unknown or empty values are rejected, never imputed.  A file that
+    cannot be opened raises ``ConfigError`` naming it.
     """
     schema, questions = load_schema(schema_path)
     csv_path = Path(csv_path)
-
-    with csv_path.open(newline="", encoding="utf-8") as fh:
+    try:
+        fh = csv_path.open(newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"CSV file {csv_path}: {exc.strerror}") from None
+    with fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         needed = [schema.id_column, *schema.names, *schema.answer_columns]

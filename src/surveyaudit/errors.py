@@ -79,10 +79,6 @@ class LengthMismatch(SurveyAuditError):
     pass
 
 
-class ZeroBaseline(SurveyAuditError):
-    pass
-
-
 class NonpositiveValue(SurveyAuditError):
     pass
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import AuthMissing, BackendUnavailable, RateLimited
+from .errors import AuthMissing, BackendUnavailable, MalformedLog, RateLimited
 from .prompts import RenderedPrompt
 
 UNPARSEABLE = None
@@ -193,6 +193,27 @@ def prompt_key(prompt: RenderedPrompt, config: BackendConfig) -> str:
     return cache_key(text, config.model_id, config.temperature, respondent_id)
 
 
+def checked_record(rec, fields: Mapping[str, type | tuple], path,
+                   number: int) -> dict:
+    """``rec``, the decoded line ``number`` of the JSON-lines file at
+    ``path``, when it is an object holding ``fields``, each of its type (a
+    bool is no int); otherwise ``MalformedLog`` naming the file and line."""
+    if not isinstance(rec, dict):
+        raise MalformedLog(f"{path}, line {number}: expected a JSON object")
+    missing = [k for k in fields if k not in rec]
+    if missing:
+        raise MalformedLog(f"{path}, line {number}: missing fields {missing}")
+    wrong = [k for k, kind in fields.items()
+             if not isinstance(rec[k], kind) or isinstance(rec[k], bool)]
+    if wrong:
+        raise MalformedLog(f"{path}, line {number}: wrong type of {wrong}")
+    return rec
+
+
+# the fields of a cache record that a load reads
+_EXCHANGE = {"key": str, "raw_text": str}
+
+
 class ExchangeCache:
     """Append-only JSON-lines cache of prompt/response exchanges.
 
@@ -202,7 +223,9 @@ class ExchangeCache:
 
     A final line that does not decode is a write cut short: it is skipped
     on load, its length is kept in ``torn_tail``, and it is cut off the file
-    before the next append.  A malformed line anywhere else raises.
+    before the next append.  Any other line that is not a record with a
+    string ``key`` and ``raw_text`` raises ``MalformedLog`` naming the file
+    and the line.
     """
 
     def __init__(self, path: Optional[str | Path] = None):
@@ -219,16 +242,18 @@ class ExchangeCache:
         if self.path and self.path.exists():
             with self.path.open("rb") as fh:
                 line = b""
-                for line in fh:
+                for number, line in enumerate(fh, start=1):
                     if not line.strip():
                         continue
                     try:
                         rec = json.loads(line)
-                    except ValueError:
+                    except ValueError as exc:
                         if fh.read(1):
-                            raise
+                            raise MalformedLog(f"{self.path}, line {number}: "
+                                               f"not JSON: {exc}") from None
                         self.torn_tail = len(line)
                         break
+                    rec = checked_record(rec, _EXCHANGE, self.path, number)
                     self._entries[rec["key"]] = rec["raw_text"]
                 if self.torn_tail or (line and not line.endswith(b"\n")):
                     self._keep = fh.tell() - self.torn_tail

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .errors import (
     LengthMismatch,
     NonpositiveValue,
     UnknownRespondent,
-    ZeroBaseline,
 )
 from .gateway import Prediction, Predictions
 
@@ -137,39 +136,6 @@ def _scores(
     return tally.correct[g] / n, similarity, False
 
 
-def accuracy(
-    predictions: Sequence[Prediction],
-    truth: SurveyCase,
-    policy: str = POLICY_INCORRECT,
-) -> float:
-    """Share of correct predictions (correct count over total count)."""
-    if not predictions:
-        raise EmptyPredictions("no predictions to score")
-    _, answers, parsed = outcome_codes(predictions, (truth,))
-    tally = group_tally(np.zeros(len(parsed), np.intp), 1, answers, parsed,
-                        len(truth.options), policy)
-    if tally.scored[0] == 0:
-        raise AllUnparseable("every prediction is unparseable under 'exclude'")
-    return tally.correct[0] / tally.scored[0]
-
-
-def empirical_distribution(
-    items: Iterable[Optional[int]], n_options: int
-) -> np.ndarray:
-    """Probability vector from parsed option indices; None entries are
-    excluded from both numerator and denominator."""
-    counts = np.zeros(n_options, dtype=float)
-    n = 0
-    for item in items:
-        if item is None:
-            continue
-        counts[item] += 1
-        n += 1
-    if n == 0:
-        raise AllUnparseable("no parsed items to build a distribution from")
-    return counts / n
-
-
 def jss(p: np.ndarray, q: np.ndarray) -> float:
     """Jensen-Shannon similarity: 1 minus the base-2 JS divergence.
 
@@ -189,19 +155,13 @@ def _kl_base2(p: np.ndarray, m: np.ndarray) -> float:
     return float(np.sum(p[mask] * np.log2(p[mask] / m[mask])))
 
 
-def relative_ratio(model_value: float, baseline_value: float) -> float:
-    """Model metric normalized by the in-sample forest ceiling; may
-    exceed 1 when the model beats the ceiling."""
-    if baseline_value <= 0:
-        raise ZeroBaseline("baseline value must be positive")
-    return model_value / baseline_value
-
-
 def ceiling_ratio(value: Optional[float], ceiling: Optional[float]) -> Optional[float]:
-    """``relative_ratio``, or None when a value is missing or the ceiling 0."""
+    """Model metric normalized by the in-sample forest ceiling, or None when
+    a value is missing or the ceiling is not positive; may exceed 1 when the
+    model beats the ceiling."""
     if value is None or ceiling is None or ceiling <= 0:
         return None
-    return relative_ratio(value, ceiling)
+    return value / ceiling
 
 
 @dataclass(frozen=True)

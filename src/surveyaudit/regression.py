@@ -23,6 +23,10 @@ from .gateway import Prediction, Predictions
 from .metrics import group_tally, outcome_codes
 
 SEPARATION_BETA = 30.0
+# Newton steps before a fit is reported as not converged, and the largest
+# coefficient step that counts as converged
+MAX_ITERATIONS = 100
+STEP_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -171,11 +175,7 @@ def build_design(
     )
 
 
-def fit_logit(
-    design: DesignMatrix,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> FitResult:
+def fit_logit(design: DesignMatrix) -> FitResult:
     """Newton/IRLS maximum-likelihood fit of the plain unpenalized logit,
     each row weighted by its trials."""
     X, s, m = design.X, design.y, design.trials
@@ -196,7 +196,7 @@ def fit_logit(
     beta = np.zeros(p)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         mu, hess = information(beta)
         try:
             step = np.linalg.solve(hess, X.T @ (s - m * mu))
@@ -215,7 +215,7 @@ def fit_logit(
                 f"separation in {offenders}",
                 offenders,
             )
-        if np.abs(step).max() < tol:
+        if np.abs(step).max() < STEP_TOLERANCE:
             converged = True
             break
 
@@ -245,8 +245,8 @@ def fit_logit(
     )
 
 
-def _format_cell(beta: float, p: float) -> str:
-    return f"{beta:.2f} ({p:.3f}){stars_for(p)}"
+def _format_cell(beta: float, p: float, stars: str) -> str:
+    return f"{beta:.2f} ({p:.3f}){stars}"
 
 
 def summarize(fit: FitResult, spec: ModelSpec, design: DesignMatrix) -> str:
@@ -256,7 +256,8 @@ def summarize(fit: FitResult, spec: ModelSpec, design: DesignMatrix) -> str:
 
     def row(col: str) -> str:
         j = fit.columns.index(col)
-        cell = _format_cell(float(fit.beta[j]), float(fit.p_values[j]))
+        cell = _format_cell(float(fit.beta[j]), float(fit.p_values[j]),
+                            fit.stars[j])
         return f"| {col} | {cell} | {fit.se[j]:.3f} |"
 
     question_cols = [c for c in fit.columns if c.startswith("question[")]

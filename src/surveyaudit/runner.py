@@ -508,8 +508,8 @@ def _run_cell(dataset: Dataset, cfg: ExperimentConfig, backend,
     ``base`` is the case's forest report."""
     bname = backend.config.name
     prompts = render_case_prompts(dataset, case, variant, mask, examples)
-    predictions = Predictions.of(run_batch(
-        prompts, {case.question_id: case.options}, backend, cache))
+    predictions = run_batch(prompts, {case.question_id: case.options},
+                            backend, cache)
     refuse_failures(bname, case.question_id, variant.value, mask.label(),
                     predictions)
     if (cfg.unparseable_policy == metrics_mod.POLICY_INCORRECT

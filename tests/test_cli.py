@@ -499,6 +499,48 @@ def test_malformed_schema_fails_before_any_work(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("dataset, missing, kind", [
+    ("{csv: data.csv, schema: nosuch.yaml}", "nosuch.yaml", "schema file"),
+    ("{csv: nosuch.csv, schema: schema.yaml}", "nosuch.csv", "CSV file"),
+], ids=["schema", "csv"])
+def test_missing_dataset_file_fails_before_any_work(tmp_path, monkeypatch,
+                                                    dataset, missing, kind):
+    output = _fails_before_any_work(tmp_path, monkeypatch,
+                                    f"dataset: {dataset}\n")
+    assert (f"Error: {kind} {tmp_path / missing}: No such file or directory"
+            in output)
+
+
+def test_regress_names_a_missing_dataset_file(tmp_path):
+    write_population(tmp_path)
+    cfg = write_config(tmp_path, extra="dataset: {csv: nosuch.csv, "
+                                       "schema: schema.yaml}\n")
+    result = CliRunner().invoke(main, [
+        "regress", "--config", str(cfg), "--predictions", str(cfg)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException
+    assert (f"Error: CSV file {tmp_path / 'nosuch.csv'}: No such file or "
+            "directory") in result.output
+
+
+RECORD = json.dumps({"key": "k", "raw_text": "OptA"})
+
+
+@pytest.mark.parametrize("lines, number, message", [
+    ([RECORD, "not json", RECORD], 2, "not JSON: Expecting value"),
+    ([RECORD, '{"key": "a"}', RECORD], 2, "missing fields ['raw_text']"),
+    ([RECORD, RECORD, '{"key": "a"}'], 3, "missing fields ['raw_text']"),
+    (["[1]", RECORD], 1, "expected a JSON object"),
+], ids=["not_json", "no_raw_text", "last_no_raw_text", "not_an_object"])
+def test_malformed_cache_line_fails_before_any_work(tmp_path, monkeypatch,
+                                                    lines, number, message):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("".join(line + "\n" for line in lines))
+    output = _fails_before_any_work(tmp_path, monkeypatch,
+                                    "cache: cache.jsonl\n")
+    assert f"Error: {cache}, line {number}: {message}" in output
+
+
 def test_negative_seed_option_fails_before_any_work(tmp_path, monkeypatch):
     output = _fails_before_any_work(tmp_path, monkeypatch, "",
                                     args=["--seed", "-2"])

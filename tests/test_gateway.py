@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from surveyaudit import gateway
-from surveyaudit.errors import AuthMissing, BackendUnavailable
+from surveyaudit.errors import AuthMissing, BackendUnavailable, MalformedLog
 from surveyaudit.gateway import (
     BackendConfig,
     ExchangeCache,
@@ -153,8 +153,9 @@ def test_cache_malformed_inner_line_raises(tmp_path):
     cache.close()
     good = path.read_text(encoding="utf-8")
     path.write_text('{"key": "x", "raw' + "\n" + good, encoding="utf-8")
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(MalformedLog) as raised:
         ExchangeCache(path)
+    assert str(raised.value).startswith(f"{path}, line 1: not JSON: ")
 
 
 def test_remote_uses_cache_without_network(tmp_path, monkeypatch):

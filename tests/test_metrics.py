@@ -6,22 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surveyaudit.errors import (
-    AllUnparseable,
     EmptyPredictions,
     LengthMismatch,
     NonpositiveValue,
     UnknownRespondent,
-    ZeroBaseline,
 )
 from surveyaudit.gateway import Prediction
 from surveyaudit.metrics import (
-    accuracy,
+    ceiling_ratio,
     compute_report,
-    empirical_distribution,
     harmonic_mean,
     jss,
     overall_accuracy_equality,
-    relative_ratio,
     round_half_away,
 )
 
@@ -50,14 +46,14 @@ def test_accuracy_direct_count():
     # truth alternates 0,1; get 8 right, 2 wrong
     preds = preds_for(ds, lambda i, p: case.answers[p.respondent_id]
                       if i < 8 else 1 - case.answers[p.respondent_id])
-    assert accuracy(preds, case) == 0.8
+    assert compute_report(ds, preds, case).accuracy == 0.8
 
 
 def test_accuracy_all_correct():
     ds = make_dataset(n=10)
     case = ds.cases[0]
     preds = preds_for(ds, lambda i, p: case.answers[p.respondent_id])
-    assert accuracy(preds, case) == 1.0
+    assert compute_report(ds, preds, case).accuracy == 1.0
 
 
 def test_accuracy_unparseable_policy():
@@ -65,53 +61,26 @@ def test_accuracy_unparseable_policy():
     case = ds.cases[0]
     preds = preds_for(ds, lambda i, p: None if i < 5
                       else case.answers[p.respondent_id])
-    assert accuracy(preds, case, policy="incorrect") == 0.5
-    assert accuracy(preds, case, policy="exclude") == 1.0
+    assert compute_report(ds, preds, case, policy="incorrect").accuracy == 0.5
+    assert compute_report(ds, preds, case, policy="exclude").accuracy == 1.0
 
 
 def test_accuracy_empty_and_unknown():
     ds = make_dataset(n=4)
     case = ds.cases[0]
     with pytest.raises(EmptyPredictions):
-        accuracy([], case)
+        compute_report(ds, [], case)
     stranger = Prediction("zz", case.question_id, "t", "", 0)
     with pytest.raises(UnknownRespondent):
-        accuracy([stranger], case)
+        compute_report(ds, [stranger], case)
 
 
 def test_accuracy_order_invariant():
     ds = make_dataset(n=9)
     case = ds.cases[0]
     preds = preds_for(ds, lambda i, p: i % 2)
-    assert accuracy(preds, case) == accuracy(list(reversed(preds)), case)
-
-
-# --- empirical distribution ---
-
-def test_empirical_distribution_counting():
-    assert np.allclose(empirical_distribution([0, 0, 1, 1], 2), [0.5, 0.5])
-
-
-def test_empirical_distribution_point_mass():
-    assert np.allclose(empirical_distribution([2], 3), [0, 0, 1])
-
-
-def test_empirical_distribution_excludes_none():
-    d = empirical_distribution([0, None, 1, None], 2)
-    assert np.allclose(d, [0.5, 0.5])
-
-
-def test_empirical_distribution_all_unparseable():
-    with pytest.raises(AllUnparseable):
-        empirical_distribution([None, None], 2)
-
-
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=50))
-def test_empirical_distribution_matches_tally(items):
-    d = empirical_distribution(items, 4)
-    assert abs(d.sum() - 1.0) < 1e-12
-    for j in range(4):
-        assert d[j] == items.count(j) / len(items)
+    assert (compute_report(ds, preds, case).accuracy
+            == compute_report(ds, list(reversed(preds)), case).accuracy)
 
 
 # --- JSS ---
@@ -207,25 +176,24 @@ def test_report_refuses_a_prediction_of_another_question():
         compute_report(ds, preds, case)
 
 
-# --- relative ratio ---
+# --- ceiling ratio ---
 
 def test_relative_ratio_published_cells():
-    assert round_half_away(relative_ratio(0.85, 0.92)) == 0.92
-    assert round_half_away(relative_ratio(0.93, 0.89)) == 1.04
+    assert round_half_away(ceiling_ratio(0.85, 0.92)) == 0.92
+    assert round_half_away(ceiling_ratio(0.93, 0.89)) == 1.04
 
 
 def test_relative_ratio_identity():
-    assert relative_ratio(0.7, 0.7) == 1.0
+    assert ceiling_ratio(0.7, 0.7) == 1.0
 
 
 def test_relative_ratio_zero_baseline():
-    with pytest.raises(ZeroBaseline):
-        relative_ratio(0.5, 0.0)
+    assert ceiling_ratio(0.5, 0.0) is None
 
 
 @given(st.floats(0.01, 1.0), st.floats(0.01, 1.0))
 def test_relative_ratio_inverts(m, b):
-    assert abs(relative_ratio(m, b) * b - m) < 1e-12
+    assert abs(ceiling_ratio(m, b) * b - m) < 1e-12
 
 
 # --- accuracy equality ---
