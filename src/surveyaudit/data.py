@@ -197,16 +197,18 @@ def load_schema(schema_path: str | Path) -> tuple[AttributeSchema, list[dict]]:
     """Read the schema/codebook file.
 
     Returns the schema plus the raw question declarations (id, text,
-    options, country, context) in file order.  A file that cannot be read
-    or is not a mapping, a missing or mistyped key, or an attribute that
-    ``Attribute`` or ``AttributeSchema`` refuses raises ``ConfigError``
-    naming the file and the key.
+    options, country, context) in file order.  A file that cannot be read,
+    is not UTF-8 or is not a mapping, a missing or mistyped key, or an
+    attribute that ``Attribute`` or ``AttributeSchema`` refuses raises
+    ``ConfigError`` naming the file and the key.
     """
     path = Path(schema_path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"schema file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"schema file {path}: not UTF-8: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"schema {path}: not valid YAML: {exc}") from None
 
@@ -254,7 +256,7 @@ def load_dataset(csv_path: str | Path, schema_path: str | Path) -> Dataset:
 
     Category matching is exact after surrounding-whitespace trim; rows with
     unknown or empty values are rejected, never imputed.  A file that
-    cannot be opened raises ``ConfigError`` naming it.
+    cannot be opened or is not UTF-8 raises ``ConfigError`` naming it.
     """
     schema, questions = load_schema(schema_path)
     csv_path = Path(csv_path)
@@ -264,12 +266,15 @@ def load_dataset(csv_path: str | Path, schema_path: str | Path) -> Dataset:
         raise ConfigError(f"CSV file {csv_path}: {exc.strerror}") from None
     with fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        needed = [schema.id_column, *schema.names, *schema.answer_columns]
-        for col in needed:
-            if col not in header:
-                raise MissingColumn(f"CSV is missing column {col!r}")
-        rows = list(reader)
+        try:
+            header = reader.fieldnames or []
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"CSV file {csv_path}: not UTF-8: {exc}") from None
+    needed = [schema.id_column, *schema.names, *schema.answer_columns]
+    for col in needed:
+        if col not in header:
+            raise MissingColumn(f"CSV is missing column {col!r}")
 
     if not rows:
         raise EmptyDataset(f"{csv_path} contains no data rows")

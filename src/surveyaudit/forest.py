@@ -59,8 +59,9 @@ _PREDICT_PAIRS = 1 << 12
 
 
 def _node_dtype(n_classes: int) -> np.dtype:
-    return np.dtype([("feature", np.intp), ("left", np.intp),
-                     ("right", np.intp), ("counts", np.int64, (n_classes,))])
+    # a node index, a column and a tally (at most n rows) all fit in int32
+    return np.dtype([("feature", np.int32), ("left", np.int32),
+                     ("right", np.int32), ("counts", np.int32, (n_classes,))])
 
 
 @dataclass
@@ -119,12 +120,14 @@ def _grow_forest(
 
     A step takes every node at the current depth of every tree, tree by
     tree and left to right.  The stop rules make some of them leaves; the
-    others are scanned, each with a permutation its tree's generator draws
-    then, and split or stay leaves.  So a tree draws its bootstrap and then
-    one permutation per scanned node in level order, whatever the size of
-    the forest.  The bootstrap rows of all trees sit in one flat array in
-    which each node owns a segment; a split partitions its segment stably,
-    left rows first.
+    others are scanned in groups of consecutive nodes, each with a
+    permutation its tree's generator draws when its group is scanned, and
+    split or stay leaves.  So a tree draws its bootstrap and then one
+    permutation per scanned node in level order, whatever the size of the
+    forest.  The bootstrap rows of all trees sit in one flat array in which
+    each node owns a segment; a split partitions its segment stably, left
+    rows first.  A row index is below n and a row is drawn at most n times,
+    so both fit the smallest unsigned type that holds n.
     """
     n, n_attrs = active.shape
     d, C = len(attribute_of), n_classes
@@ -136,8 +139,8 @@ def _grow_forest(
     # own and a tree has at most 2 * profiles - 1 nodes.
     profile = distinct_rows(active)[0]
     capacity = np.empty(n_trees, dtype=np.intp)
-    flat_rows = np.empty(n_trees * n, dtype=np.int32)
-    flat_w = np.empty(n_trees * n, dtype=np.int32)
+    flat_rows = np.empty(n_trees * n, dtype=np.min_scalar_type(n))
+    flat_w = np.empty(n_trees * n, dtype=np.min_scalar_type(n))
     # the nodes of the current level: tree, row segment and class tally
     tree = np.arange(n_trees, dtype=np.int32)
     start = np.empty(n_trees, dtype=np.int32)
@@ -162,10 +165,19 @@ def _grow_forest(
         at = np.arange(lengths.sum()) + np.repeat(
             start - (np.cumsum(lengths) - lengths), lengths)
         r, w = flat_rows[at], flat_w[at]
-        slot = np.repeat(np.arange(m), lengths)
-        tally = np.bincount((codes[r] + (slot * (d * C))[:, None]).ravel(),
-                            weights=np.repeat(w, n_attrs),
+        slot = np.repeat(np.arange(m, dtype=np.int32), lengths)
+        # np.bincount counts intp codes with float64 weights.  Both share one
+        # block, freed before the gains are taken: with glibc, freeing a
+        # block this large lifts the mmap threshold above a step's
+        # temporaries, so the heap is not trimmed and faulted in again after
+        # every tally.
+        block = np.empty((2, len(r), n_attrs))
+        x = block[0].view(np.intp)
+        np.add(codes[r], (slot * (d * C))[:, None], out=x)
+        block[1] = w[:, None]
+        tally = np.bincount(x.ravel(), weights=block[1].ravel(),
                             minlength=m * d * C).reshape(m, d, C)
+        del block, x
         n_right = tally.sum(axis=2)
         n_left = total[:, None] - n_right
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -218,27 +230,31 @@ def _grow_forest(
             scan[:] = False
         # each node's column (-1: a leaf), the class tally right of it and
         # its rows left of it
-        feature = np.full(len(tree), -1)
+        feature = np.full(len(tree), -1, dtype=np.int32)
         right = np.zeros((len(tree), C), dtype=np.int32)
         n_left = np.zeros(len(tree), dtype=np.int32)
         s = np.flatnonzero(scan)
         if s.size:
-            per_tree = np.bincount(tree[s], minlength=n_trees)
-            # permuted() shuffles each row of base with the draws that as
-            # many consecutive permutation(d) calls make, in the same order
-            base = np.tile(np.arange(d, dtype=np.int16), (per_tree.max(), 1))
-            order = np.empty((len(s), d), dtype=np.int16)
-            lo = np.cumsum(per_tree) - per_tree
-            for t in np.flatnonzero(per_tree):
-                m = per_tree[t]
-                order[lo[t]:lo[t] + m] = rngs[t].permuted(base[:m], axis=1)
             # bound the codes and the gain cells one tally gathers
             cost = (end[s] - start[s]) * n_attrs + d * C
             group = (np.cumsum(cost) - cost) // _TALLY_CODES
             cuts = [0, *(np.flatnonzero(np.diff(group)) + 1), len(s)]
-            parts = [split(start[s[a:b]], end[s[a:b]], counts[s[a:b]],
-                           total[s[a:b]], order[a:b])
-                     for a, b in zip(cuts, cuts[1:])]
+            # permuted() shuffles each row of base with the draws that as
+            # many consecutive permutation(d) calls make, in the same order,
+            # so a tree whose nodes span two groups draws as if in one
+            base = np.tile(np.arange(d, dtype=np.int16),
+                           (np.bincount(tree[s]).max(), 1))
+            parts = []
+            for a, b in zip(cuts, cuts[1:]):
+                g = s[a:b]
+                # each tree's nodes in the group, in order
+                runs = [0, *(np.flatnonzero(np.diff(tree[g])) + 1), len(g)]
+                order = np.empty((len(g), d), dtype=np.int16)
+                for i, j in zip(runs, runs[1:]):
+                    order[i:j] = rngs[tree[g[i]]].permuted(base[:j - i],
+                                                           axis=1)
+                parts.append(split(start[g], end[g], counts[g], total[g],
+                                   order))
             feature[s], right[s], n_left[s] = (np.concatenate(x)
                                                for x in zip(*parts))
         s = np.flatnonzero(feature >= 0)
@@ -282,8 +298,9 @@ def fit_in_sample(
     active = dataset.coded.of(ids) + offsets
     y = np.array([case.answers[rid] for rid in ids], dtype=np.int64)
     n_classes = len(case.options)
-    # column * n_classes + class: one bincount tallies every column's classes
-    codes = active * n_classes + y[:, None]
+    # column * n_classes + class: one bincount tallies every column's classes;
+    # int32, so that the codes a tally gathers take 4 bytes each
+    codes = (active * n_classes + y[:, None]).astype(np.int32)
 
     rngs = [np.random.default_rng((seed, tree_idx))
             for tree_idx in range(params.n_trees)]
@@ -314,7 +331,9 @@ def predict(model: ForestModel, codes: np.ndarray) -> list[int]:
         trees = model.trees[a:a + per_pass]
         sizes = [len(t.nodes) for t in trees]
         roots = np.cumsum([0] + sizes[:-1])
-        feature, left, right = (np.concatenate([t.nodes[name] for t in trees])
+        # widened to intp once, so the walk indexes without casting
+        feature, left, right = (np.concatenate([t.nodes[name] for t in trees],
+                                               dtype=np.intp)
                                 for name in ("feature", "left", "right"))
         # a leaf leads to itself, so the pairs that reached one stay put
         inner = feature >= 0

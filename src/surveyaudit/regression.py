@@ -158,12 +158,12 @@ def build_design(
                 raise CollinearColumn(
                     f"column {columns[k]!r} duplicates {columns[j]!r}",
                     (columns[j], columns[k]))
-    if np.linalg.matrix_rank(X) < X.shape[1]:
-        # name one column involved in the dependency via QR diagonal
-        _, R = np.linalg.qr(X)
-        bad = [columns[j] for j in range(X.shape[1]) if abs(R[j, j]) < 1e-8]
-        raise CollinearColumn(f"collinear column(s): {bad or columns}",
-                              bad or columns)
+    # a column with a tiny QR diagonal is spanned by the columns before it;
+    # with fewer rows than columns, fit_logit refuses the design for its size
+    diagonal = np.abs(np.diagonal(np.linalg.qr(X, mode="r")))
+    bad = [columns[j] for j in np.flatnonzero(diagonal < 1e-8)]
+    if bad:
+        raise CollinearColumn(f"collinear column(s): {bad}", bad)
 
     return DesignMatrix(
         X=X,

@@ -511,6 +511,22 @@ def test_missing_dataset_file_fails_before_any_work(tmp_path, monkeypatch,
             in output)
 
 
+@pytest.mark.parametrize("dataset, name, text, kind", [
+    ("{csv: data.csv, schema: latin.yaml}", "latin.yaml",
+     b"id_column: \xff\xfe\n", "schema file"),
+    ("{csv: latin.csv, schema: schema.yaml}", "latin.csv",
+     b"respondent_id,gender\nr1,\xff\n", "CSV file"),
+], ids=["schema", "csv"])
+def test_dataset_file_not_utf8_fails_before_any_work(tmp_path, monkeypatch,
+                                                      dataset, name, text,
+                                                      kind):
+    (tmp_path / name).write_bytes(text)
+    output = _fails_before_any_work(tmp_path, monkeypatch,
+                                    f"dataset: {dataset}\n")
+    assert (f"Error: {kind} {tmp_path / name}: not UTF-8: 'utf-8' codec "
+            "can't decode byte 0xff" in output)
+
+
 def test_regress_names_a_missing_dataset_file(tmp_path):
     write_population(tmp_path)
     cfg = write_config(tmp_path, extra="dataset: {csv: nosuch.csv, "

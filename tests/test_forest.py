@@ -354,6 +354,23 @@ def test_fit_memory_peak_bounded():
     assert peak < 3.3e6
 
 
+def test_fit_memory_peak_bounded_at_n1000():
+    # int32 node records, row indices and bootstrap weights of the smallest
+    # type that holds n, and permutations drawn per tally group keep this
+    # fit near 5.5 MB; 8-byte node fields, 4-byte rows and weights and a
+    # permutation table per level took it to about 8.6 MB.
+    ds = _six_attribute_population(1, n=1000, options=("A", "B", "C"))
+    case = ds.cases[0]
+    fit_in_sample(ds, case, ForestParams(n_trees=2), seed=1)  # warm imports
+    tracemalloc.start()
+    try:
+        fit_in_sample(ds, case, ForestParams(n_trees=100), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6
+
+
 def test_forest_heavy_bundle_bytes_pinned(tmp_path):
     # one digest over the files the forest does not touch and one over those
     # it does, so a change to the forest ceiling re-takes only the second

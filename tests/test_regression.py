@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from surveyaudit.data import Attribute
+from surveyaudit.data import Attribute, Dataset, SocioProfile
 from surveyaudit.errors import (CollinearColumn, EmptyDesign, Separation,
                                UnknownRespondent)
 from surveyaudit.gateway import Prediction
@@ -190,6 +190,46 @@ def test_build_design_collinear_detected():
     with pytest.raises(CollinearColumn) as caught:
         build_design(ds, preds, ModelSpec(main_effects=("gender", "twin")))
     assert caught.value.columns == ("gender=Woman", "twin=Woman")
+
+
+def _dataset_with_cells(attrs, cells):
+    """One respondent per (category, ...) cell of ``attrs``."""
+    ds = make_dataset(n=len(cells), schema=make_schema(attrs=attrs))
+    profiles = tuple(
+        SocioProfile(p.respondent_id, dict(zip([a[0] for a in attrs], cell)))
+        for p, cell in zip(ds.profiles, cells))
+    return Dataset(schema=ds.schema, profiles=profiles, cases=ds.cases)
+
+
+def _predictions(ds):
+    case = ds.cases[0]
+    return [Prediction(p.respondent_id, case.question_id, "t", "", i % 2)
+            for i, p in enumerate(ds.profiles)]
+
+
+def test_build_design_dependent_columns_detected():
+    # no respondent has c's reference R, so c=X + c=Y equals question[vote]
+    # although no two columns are equal
+    ds = _dataset_with_cells(
+        [("gender", ("Man", "Woman"), "Man"), ("c", ("R", "X", "Y"), "R")],
+        [("Man", "X"), ("Woman", "X"), ("Man", "Y"), ("Woman", "Y")] * 5)
+    with pytest.raises(CollinearColumn) as caught:
+        build_design(ds, _predictions(ds),
+                     ModelSpec(main_effects=("gender", "c")))
+    assert caught.value.columns == ("c=Y",)
+
+
+def test_design_with_more_columns_than_cells_is_unfittable():
+    # 4 cells for 5 independent-looking columns: no column is zero or a
+    # duplicate, and the logit is refused for its size
+    ds = _dataset_with_cells(
+        [("a", ("R", "X", "Y"), "R"), ("b", ("R", "X", "Y"), "R")],
+        [("R", "R"), ("X", "X"), ("Y", "Y"), ("X", "Y")] * 3)
+    design = build_design(ds, _predictions(ds),
+                          ModelSpec(main_effects=("a", "b")))
+    assert design.X.shape == (4, 5)
+    with pytest.raises(EmptyDesign, match="4 rows for 5 columns"):
+        fit_logit(design)
 
 
 def test_reference_relabeling_preserves_fitted_probabilities():
