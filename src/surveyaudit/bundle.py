@@ -120,12 +120,10 @@ def ablation_table_markdown(
     return _table(_case_header("Features", case_ids), table)
 
 
-def equality_matrix_markdown(
-    attribute: str, verdict: EqualityVerdict, per_group_acc: Mapping
-) -> str:
+def equality_matrix_markdown(attribute: str, verdict: EqualityVerdict) -> str:
     table = _table(["Group", "Accuracy", "n"], [
         [_group_name(group), fmt2(acc), str(verdict.group_sizes.get(group, "-"))]
-        for group, acc in per_group_acc.items()
+        for group, acc in verdict.accuracy.items()
     ])
     status = "satisfied" if verdict.satisfied else "violated"
     return (f"### Accuracy equality: {attribute}\n\n{table}\n\n"
@@ -216,7 +214,7 @@ def write_regressions(out: Path, regressions: dict[str, dict]) -> None:
             (out / f"regression_{key}.md").write_text(
                 unfitted_note(bits["error"]) + "\n", encoding="utf-8")
             continue
-        table = summarize(bits["fit"], bits["spec"], bits["design"])
+        table = summarize(bits["fit"], bits["design"])
         (out / f"regression_{key}.md").write_text(table + "\n", encoding="utf-8")
         lines = ["term,estimate,se,z,p,stars"] + [
             f"{r['term']},{r['estimate']:.10g},{r['se']:.10g},"
@@ -281,25 +279,23 @@ def write_bundle(bundle: ReportBundle, schema: AttributeSchema) -> None:
     for (backend, cid), per_case in bundle.equality.items():
         md.append(f"## Accuracy equality: {backend} / {cid}")
         md.append("")
-        for attr, info in per_case.items():
-            md.append(equality_matrix_markdown(
-                attr, info["verdict"], info["accuracy"]
-            ))
+        for attr, verdict in per_case.items():
+            md.append(equality_matrix_markdown(attr, verdict))
             md.append("")
     (out / "metrics.md").write_text("\n".join(md), encoding="utf-8")
 
     _dump_json(out / "equality.json", {
         f"{backend}::{cid}": {
             attr: {
-                "satisfied": info["verdict"].satisfied,
-                "max_gap": info["verdict"].max_gap,
-                "tolerance": info["verdict"].tolerance,
+                "satisfied": verdict.satisfied,
+                "max_gap": verdict.max_gap,
+                "tolerance": verdict.tolerance,
                 "accuracy": {_group_name(k): v
-                             for k, v in info["accuracy"].items()},
+                             for k, v in verdict.accuracy.items()},
                 "sizes": {_group_name(k): v
-                          for k, v in info["verdict"].group_sizes.items()},
+                          for k, v in verdict.group_sizes.items()},
             }
-            for attr, info in per_case.items()
+            for attr, verdict in per_case.items()
         }
         for (backend, cid), per_case in bundle.equality.items()
     })

@@ -50,6 +50,14 @@ class BackendConfig:
     credential_env: str = "SURVEYAUDIT_API_KEY"
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and self.name):
+            raise ValueError(f"name must be a non-empty string, "
+                             f"got {self.name!r}")
+        for name, types in (("model_id", str), ("credential_env", str),
+                            ("endpoint", (str, type(None)))):
+            value = getattr(self, name)
+            if not isinstance(value, types):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         if self.kind not in {"remote", "mock", "replay"}:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.kind == "remote" and not self.endpoint:

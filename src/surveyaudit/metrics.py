@@ -170,6 +170,7 @@ class EqualityVerdict:
     max_gap: float
     tolerance: float
     group_sizes: dict
+    accuracy: dict
 
 
 def overall_accuracy_equality(
@@ -191,6 +192,7 @@ def overall_accuracy_equality(
         max_gap=max_gap,
         tolerance=tolerance,
         group_sizes=dict(group_sizes or {}),
+        accuracy=dict(per_group_acc),
     )
 
 

@@ -17,7 +17,7 @@ import random
 import string
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .data import AttributeSchema, Dataset, SocioProfile, SurveyCase
 from .errors import FewshotMismatch, InsufficientExamples, MissingContext
@@ -46,57 +46,35 @@ _ANSWER_PREFIX = {
 }
 
 
-class MaskMode(enum.Enum):
-    ALL = "all"
-    WITHOUT_ATTRIBUTE = "without_attribute"
-    ONLY_POLITICAL = "only_political"
-    WITHOUT_POLITICAL = "without_political"
-
-
 @dataclass(frozen=True)
 class AblationMask:
-    """Selects which profile attributes survive into the prompt."""
+    """Selects which profile attributes survive into the prompt: those in
+    ``names`` when ``keep`` is set, every attribute except those otherwise.
+    ``label`` names the mask in the bundle."""
 
-    mode: MaskMode
-    attribute: Optional[str] = None
-    political_set: frozenset[str] = DEFAULT_POLITICAL
+    label: str
+    names: frozenset[str] = frozenset()
+    keep: bool = False
 
     @classmethod
     def all(cls) -> "AblationMask":
-        return cls(MaskMode.ALL)
+        return cls("All")
 
     @classmethod
     def without(cls, attribute: str) -> "AblationMask":
-        return cls(MaskMode.WITHOUT_ATTRIBUTE, attribute=attribute)
+        return cls(f"Without {attribute}", frozenset({attribute}))
 
     @classmethod
     def only_political(cls, political_set=DEFAULT_POLITICAL) -> "AblationMask":
-        return cls(MaskMode.ONLY_POLITICAL, political_set=frozenset(political_set))
+        return cls("Only political variables", frozenset(political_set),
+                   keep=True)
 
     @classmethod
     def without_political(cls, political_set=DEFAULT_POLITICAL) -> "AblationMask":
-        return cls(MaskMode.WITHOUT_POLITICAL, political_set=frozenset(political_set))
+        return cls("Without political variables", frozenset(political_set))
 
     def filter_names(self, names: Sequence[str]) -> tuple[str, ...]:
-        names = tuple(names)
-        if self.mode is MaskMode.ALL:
-            return names
-        if self.mode is MaskMode.WITHOUT_ATTRIBUTE:
-            if self.attribute not in names:
-                raise ValueError(f"mask names unknown attribute {self.attribute!r}")
-            return tuple(n for n in names if n != self.attribute)
-        if self.mode is MaskMode.ONLY_POLITICAL:
-            return tuple(n for n in names if n in self.political_set)
-        return tuple(n for n in names if n not in self.political_set)
-
-    def label(self) -> str:
-        if self.mode is MaskMode.ALL:
-            return "All"
-        if self.mode is MaskMode.WITHOUT_POLITICAL:
-            return "Without political variables"
-        if self.mode is MaskMode.ONLY_POLITICAL:
-            return "Only political variables"
-        return f"Without {self.attribute}"
+        return tuple(n for n in names if (n in self.names) is self.keep)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +39,12 @@ class ModelSpec:
     name: str = "model"
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and self.name):
+            raise ValueError(f"name must be a non-empty string, "
+                             f"got {self.name!r}")
+        if not isinstance(self.question_fixed_effects, bool):
+            raise ValueError(f"question_fixed_effects must be a bool, "
+                             f"got {self.question_fixed_effects!r}")
         mains = set(self.main_effects)
         for a, b in self.interactions:
             if a not in mains or b not in mains:
@@ -51,13 +57,14 @@ class ModelSpec:
 @dataclass
 class DesignMatrix:
     """One binomial row per distinct covariate row: ``y`` successes out of
-    ``trials``.  A Bernoulli design has one trial per row."""
+    ``trials``.  A Bernoulli design has one trial per row.  ``blocks``
+    splits ``columns``, in order, into (table heading or None, columns)."""
 
     X: np.ndarray
     y: np.ndarray
     trials: np.ndarray
     columns: tuple[str, ...]
-    references: dict[str, str]
+    blocks: tuple[tuple[Optional[str], tuple[str, ...]], ...]
 
 
 @dataclass
@@ -120,6 +127,7 @@ def build_design(
     cells = cells[keep]
     columns: list[str] = []
     col_data: list[np.ndarray] = []
+    blocks: list[tuple[Optional[str], tuple[str, ...]]] = []
 
     if spec.question_fixed_effects:
         for q, case in enumerate(dataset.cases):
@@ -127,9 +135,11 @@ def build_design(
             if col.any():
                 columns.append(f"question[{case.question_id}]")
                 col_data.append(col)
+        blocks.append(("Question", tuple(columns)))
     else:
         columns.append("intercept")
         col_data.append(np.ones(len(cells)))
+        blocks.append((None, ("intercept",)))
 
     # each attribute's non-reference categories and their dummy columns
     dummies: dict[str, list[tuple[str, np.ndarray]]] = {}
@@ -138,14 +148,20 @@ def build_design(
         dummies[name] = [(cat, (cells[:, j] == k).astype(float))
                          for k, cat in enumerate(attr.categories)
                          if cat != attr.reference]
+        start = len(columns)
         for cat, col in dummies[name]:
             columns.append(f"{name}={cat}")
             col_data.append(col)
+        blocks.append((f"{name} (ref = {attr.reference})",
+                       tuple(columns[start:])))
+    start = len(columns)
     for a, b in spec.interactions:
         for (ca, col_a), (cb, col_b) in itertools.product(dummies[a],
                                                            dummies[b]):
             columns.append(f"{a}={ca} x {b}={cb}")
             col_data.append(col_a * col_b)
+    if len(columns) > start:
+        blocks.append(("Interaction terms", tuple(columns[start:])))
 
     X = np.column_stack(col_data)
 
@@ -170,8 +186,7 @@ def build_design(
         y=np.array(outcome.correct, dtype=float)[keep],
         trials=np.array(outcome.scored, dtype=float)[keep],
         columns=tuple(columns),
-        references={name: dataset.schema.attribute(name).reference
-                    for name in spec.main_effects},
+        blocks=tuple(blocks),
     )
 
 
@@ -249,37 +264,18 @@ def _format_cell(beta: float, p: float, stars: str) -> str:
     return f"{beta:.2f} ({p:.3f}){stars}"
 
 
-def summarize(fit: FitResult, spec: ModelSpec, design: DesignMatrix) -> str:
-    """Markdown regression table grouped by attribute, with references
-    noted and the interaction block separated."""
+def summarize(fit: FitResult, design: DesignMatrix) -> str:
+    """Markdown regression table, one heading row per block of the design
+    followed by that block's terms."""
     lines = ["| Term | Coefficient (p-value) | SE |", "|---|---|---|"]
-
-    def row(col: str) -> str:
-        j = fit.columns.index(col)
-        cell = _format_cell(float(fit.beta[j]), float(fit.p_values[j]),
-                            fit.stars[j])
-        return f"| {col} | {cell} | {fit.se[j]:.3f} |"
-
-    question_cols = [c for c in fit.columns if c.startswith("question[")]
-    if question_cols:
-        lines.append("| **Question** | | |")
-        lines.extend(row(c) for c in question_cols)
-    if "intercept" in fit.columns:
-        lines.append(row("intercept"))
-
-    for attr in spec.main_effects:
-        ref = design.references.get(attr, "?")
-        lines.append(f"| **{attr} (ref = {ref})** | | |")
-        prefix = f"{attr}="
-        for c in fit.columns:
-            if c.startswith(prefix) and " x " not in c:
-                lines.append(row(c))
-
-    inter_cols = [c for c in fit.columns if " x " in c]
-    if inter_cols:
-        lines.append("| **Interaction terms** | | |")
-        lines.extend(row(c) for c in inter_cols)
-
+    for heading, columns in design.blocks:
+        if heading is not None:
+            lines.append(f"| **{heading}** | | |")
+        for col in columns:
+            j = fit.columns.index(col)
+            cell = _format_cell(float(fit.beta[j]), float(fit.p_values[j]),
+                                fit.stars[j])
+            lines.append(f"| {col} | {cell} | {fit.se[j]:.3f} |")
     lines.append("")
     lines.append("***p < 0.01; **p < 0.05; *p < 0.1")
     if not fit.converged:

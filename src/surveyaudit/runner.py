@@ -52,7 +52,7 @@ class ExperimentConfig:
     masks: list[str] = field(default_factory=lambda: ["all"])
     ablation: bool = False
     fewshot_k: int = DEFAULT_FEWSHOT_K
-    political: list[str] = field(default_factory=lambda: sorted(DEFAULT_POLITICAL))
+    political: Optional[list[str]] = None  # None: DEFAULT_POLITICAL
     forest_params: dict = field(default_factory=dict)
     forest_seed: int = 0
     regressions: list[dict] = field(default_factory=list)
@@ -81,7 +81,7 @@ def load_config(path: str | Path, seed: Optional[int] = None
         raise ConfigError("config must be a mapping")
     raw = _mapping(raw, "config", _CONFIG_KEYS)
 
-    ds = _mapping(raw.get("dataset") or {}, "dataset", ("csv", "schema"))
+    ds = _mapping(_given(raw, "dataset", {}), "dataset", ("csv", "schema"))
     if "csv" not in ds or "schema" not in ds:
         raise ConfigError("config needs dataset.csv and dataset.schema")
     backends = [_mapping(entry, "backend entry")
@@ -100,9 +100,9 @@ def load_config(path: str | Path, seed: Optional[int] = None
     # numpy seeds no generator with a negative integer
     config_seed = _integer(raw.get("seed", 0), "seed", minimum=0)
     seed = config_seed if seed is None else _integer(seed, "--seed", minimum=0)
-    fewshot = _mapping(raw.get("fewshot") or {}, "fewshot", ("k",))
+    fewshot = _mapping(_given(raw, "fewshot", {}), "fewshot", ("k",))
     fewshot_k = _integer(fewshot.get("k", DEFAULT_FEWSHOT_K), "fewshot.k")
-    forest = _mapping(raw.get("forest") or {}, "forest")
+    forest = _mapping(_given(raw, "forest", {}), "forest")
     forest_seed = _integer(forest.pop("seed", seed), "forest.seed", minimum=0)
     ablation = raw.get("ablation", False)
     if not isinstance(ablation, bool):
@@ -146,8 +146,7 @@ def load_config(path: str | Path, seed: Optional[int] = None
         masks=list(_names(raw, "masks", "mask") or ["all"]),
         ablation=ablation,
         fewshot_k=fewshot_k,
-        political=list(_names(raw, "political", "attribute")
-                       or sorted(DEFAULT_POLITICAL)),
+        political=_names(raw, "political", "attribute"),
         forest_params=forest,
         forest_seed=forest_seed,
         regressions=regressions,
@@ -182,12 +181,20 @@ def _names(raw: dict, key: str, what: str) -> Optional[list[str]]:
     return value
 
 
-def _list(raw: dict, key: str) -> list:
-    """``raw[key]``, a list (empty when absent); any other value raises
-    ``ConfigError`` naming the key."""
-    value = raw.get(key) or []
+def _given(raw: dict, key: str, default):
+    """``raw[key]``, or ``default`` when the key is absent or null: a false
+    value such as 0 or [] is a value, checked as any other."""
+    value = raw.get(key)
+    return default if value is None else value
+
+
+def _list(raw: dict, key: str, what: str = "") -> list:
+    """``raw[key]``, a list (empty when absent or null); any other value
+    raises ``ConfigError`` naming ``what`` (when given) and the key."""
+    value = _given(raw, key, [])
     if not isinstance(value, list):
-        raise ConfigError(f"{key}: expected a list, got {value!r}")
+        where = f"{what}: {key}" if what else key
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
     return value
 
 
@@ -272,6 +279,9 @@ def _backend_config(entry: dict, dataset: Dataset, offline: bool
     entry = dict(entry)
     strategy = entry.pop("strategy", None)
     what = f"backend {entry.get('name')!r}"
+    if strategy is not None and not (isinstance(strategy, str) and strategy):
+        raise ConfigError(f"{what}: strategy: expected a non-empty string, "
+                          f"got {strategy!r}")
     if offline and entry.get("kind") == "remote":
         entry["kind"] = "replay"
     config = _construct(BackendConfig, entry, what)
@@ -369,12 +379,14 @@ def _plan(cfg: ExperimentConfig, offline: bool) -> Plan:
     dataset = load_dataset(cfg.csv_path, cfg.schema_path)
     cases = _select_cases(dataset, cfg)
     names = dataset.schema.names
-    political = frozenset(cfg.political)
-    unknown_political = political - set(names)
-    if unknown_political:
+    political = frozenset(cfg.political or DEFAULT_POLITICAL)
+    unknown_political = sorted(political - set(names))
+    # a given set is always checked, the default only where a mask reads it
+    if unknown_political and (cfg.political or cfg.ablation or {
+            "without_political", "only_political"} & set(cfg.masks)):
         raise ConfigError(
-            f"political set names unknown attributes: {sorted(unknown_political)}"
-        )
+            f"political set names unknown attributes: {unknown_political}; "
+            f"set political to the schema's political attributes")
     specs = regression_specs(dataset, cfg)
     for a, b in cfg.equality_pairs:
         for attr in (a, b):
@@ -409,7 +421,7 @@ def _plan(cfg: ExperimentConfig, offline: bool) -> Plan:
     # by (name, backend), so each must be unique
     for kind, labels in (("backend names", [c.name for c, _ in backends]),
                          ("variants", cfg.variants),
-                         ("masks", [m.label() for m in masks]),
+                         ("masks", [m.label for m in masks]),
                          ("regression names", [s.name for s in specs])):
         repeated = sorted({x for x in labels if labels.count(x) > 1})
         if repeated:
@@ -467,9 +479,8 @@ def _score(plan: Plan, cfg: ExperimentConfig, cells: Sequence[CellResult]
             dataset, cell.predictions, case, a, b,
             policy=cfg.unparseable_policy)) for a, b in cfg.equality_pairs]
         equality[(cell.backend, cell.case_id)] = {
-            label: {"verdict": metrics_mod.overall_accuracy_equality(
-                        acc_map, cfg.equality_tolerance, group_sizes=sizes),
-                    "accuracy": acc_map}
+            label: metrics_mod.overall_accuracy_equality(
+                acc_map, cfg.equality_tolerance, group_sizes=sizes)
             for label, acc_map, sizes in groups
         }
     regressions = fit_regressions(dataset, plan.regressions, primary,
@@ -489,7 +500,7 @@ def run_experiment(cfg: ExperimentConfig, offline: bool = False) -> ReportBundle
         "cases": [c.question_id for c in plan.cases],
         "backends": [config.name for config, _ in plan.backends],
         "variants": [v.value for v in plan.variants],
-        "masks": [m.label() for m in plan.masks],
+        "masks": [m.label for m in plan.masks],
         "fewshot_k": cfg.fewshot_k,
         "unparseable_policy": cfg.unparseable_policy,
         "n_predictions": sum(len(c.predictions) for c in cells),
@@ -510,7 +521,7 @@ def _run_cell(dataset: Dataset, cfg: ExperimentConfig, backend,
     prompts = render_case_prompts(dataset, case, variant, mask, examples)
     predictions = run_batch(prompts, {case.question_id: case.options},
                             backend, cache)
-    refuse_failures(bname, case.question_id, variant.value, mask.label(),
+    refuse_failures(bname, case.question_id, variant.value, mask.label,
                     predictions)
     if (cfg.unparseable_policy == metrics_mod.POLICY_INCORRECT
             and all(v is None for v in predictions.parsed)):
@@ -525,7 +536,7 @@ def _run_cell(dataset: Dataset, cfg: ExperimentConfig, backend,
         )
     report.relative = {m: metrics_mod.ceiling_ratio(getattr(report, m), getattr(base, m))
                        for m in ("accuracy", "jss")}
-    return CellResult(bname, case.question_id, variant.value, mask.label(),
+    return CellResult(bname, case.question_id, variant.value, mask.label,
                       report, predictions)
 
 
@@ -551,7 +562,8 @@ def primary_cells(cells: Sequence[CellResult], variant: str) -> list[CellResult]
     mask of the first cell."""
     if not cells:
         return []
-    mask = ("All" if any(c.mask_label == "All" for c in cells)
+    everything = AblationMask.all().label
+    mask = (everything if any(c.mask_label == everything for c in cells)
             else cells[0].mask_label)
     return [c for c in cells if c.variant == variant and c.mask_label == mask]
 
@@ -563,18 +575,23 @@ def regression_specs(dataset: Dataset,
     names = dataset.schema.names
     specs = []
     for entry in cfg.regressions:
+        # a null field, as an absent one, takes its default
+        entry = {k: v for k, v in entry.items() if v is not None}
         what = f"regression {entry.get('name', 'model')!r}"
         # no main effects, "all" and ["all"] each mean every attribute
-        mains = entry.get("main_effects") or "all"
+        mains = entry.get("main_effects", "all")
         if mains in ("all", ["all"]):
             mains = names
         elif not _is_names(mains):
             raise ConfigError(f"{what}: main_effects: expected 'all' or a "
                               f"list of names, got {mains!r}")
+        elif not mains:
+            raise ConfigError(f"{what}: main_effects: expected at least one "
+                              f"attribute, got []")
         for attr in mains:
             if attr not in names:
                 raise ConfigError(f"{what} names unknown attribute {attr!r}")
-        interactions = _list(entry, "interactions")
+        interactions = _list(entry, "interactions", what)
         for pair in interactions:
             if not (_is_names(pair) and len(pair) == 2):
                 raise ConfigError(f"{what}: an interaction names two "
@@ -603,8 +620,7 @@ def fit_regressions(dataset: Dataset, specs: Sequence[ModelSpec],
             key = f"{spec.name}__{bname}"
             try:
                 design = build_design(dataset, predictions, spec, policy=policy)
-                regressions[key] = {"spec": spec, "design": design,
-                                    "fit": fit_logit(design)}
+                regressions[key] = {"design": design, "fit": fit_logit(design)}
             except Unfittable as exc:
                 regressions[key] = {"error": exc}
     return regressions

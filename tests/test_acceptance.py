@@ -188,7 +188,8 @@ def test_logit_oracle():
 
     design = DesignMatrix(
         X=X, y=y, trials=np.ones(n), columns=("intercept", "gender=Woman"),
-        references={"gender": "Man"},
+        blocks=((None, ("intercept",)),
+                ("gender (ref = Man)", ("gender=Woman",))),
     )
     fit = fit_logit(design)
     assert abs(fit.coef("intercept")) < 1e-6
@@ -519,7 +520,7 @@ def test_prompt_structure_and_no_leakage():
                     assert "Pregunta:" in text
                     assert "Respuesta:" in text
                     assert "Question:" not in text
-                if mask.attribute == "gender":
+                if mask == AblationMask.without("gender"):
                     assert "- gender:" not in text
 
                 assert text.count(sentinel) == 1  # the options list only

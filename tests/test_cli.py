@@ -428,6 +428,55 @@ def test_interaction_outside_main_effects_fails_before_any_work(
      "Error: dataset.schema: expected a path, got ''"),
     ("output: ''\n", "Error: output: expected a path, got ''"),
     ("cache: ''\n", "Error: cache: expected a path, got ''"),
+    ("backends:\n  - {name: 5, kind: mock}\n",
+     "Error: backend 5: name must be a non-empty string, got 5"),
+    ("backends:\n  - {name: '', kind: mock}\n",
+     "Error: backend '': name must be a non-empty string, got ''"),
+    ("backends:\n  - {name: m, kind: mock, strategy: 5}\n",
+     "Error: backend 'm': strategy: expected a non-empty string, got 5"),
+    ("backends:\n  - {name: m, kind: mock, strategy: ''}\n",
+     "Error: backend 'm': strategy: expected a non-empty string, got ''"),
+    ("backends:\n  - {name: m, kind: mock, credential_env: 5}\n",
+     "Error: backend 'm': credential_env must be a string, got 5"),
+    ("backends:\n  - {name: m, kind: mock, model_id: 5}\n",
+     "Error: backend 'm': model_id must be a string, got 5"),
+    ("backends:\n  - {name: m, kind: mock, endpoint: 5}\n",
+     "Error: backend 'm': endpoint must be a string, got 5"),
+    ("regressions:\n  - {name: 5, main_effects: [gender]}\n",
+     "Error: regression 5: name must be a non-empty string, got 5"),
+    ("regressions:\n  - {name: m1, main_effects: [gender],\n"
+     "     question_fixed_effects: 'no'}\n",
+     "Error: regression 'm1': question_fixed_effects must be a bool, "
+     "got 'no'"),
+    ("regressions:\n  - {name: m1, main_effects: []}\n",
+     "Error: regression 'm1': main_effects: expected at least one "
+     "attribute, got []"),
+    ("regressions:\n  - {name: m1, main_effects: [gender], interactions: 0}\n",
+     "Error: regression 'm1': interactions: expected a list, got 0"),
+    ("regressions:\n  - {name: m1, main_effects: [gender], interactions: {}}\n",
+     "Error: regression 'm1': interactions: expected a list, got {}"),
+    ("forest: false\n", "Error: forest: expected dict, got False"),
+    ("forest: []\n", "Error: forest: expected dict, got []"),
+    ("fewshot: 0\n", "Error: fewshot: expected dict, got 0"),
+    ("fewshot: []\n", "Error: fewshot: expected dict, got []"),
+    ("regressions: {}\n", "Error: regressions: expected a list, got {}"),
+    ("equality_pairs: 0\n", "Error: equality_pairs: expected a list, got 0"),
+    ("equality_pairs: {}\n",
+     "Error: equality_pairs: expected a list, got {}"),
+    ("political: [ideology, nosuch]\nmasks: [all]\n",
+     "Error: political set names unknown attributes: ['nosuch']"),
+    # null, as absent, means the default set, which names attributes that
+    # the population's schema lacks
+    ("political: null\nmasks: [all, without_political]\n",
+     "Error: political set names unknown attributes: ['party', "
+     "'political_interest']; set political to the schema's political "
+     "attributes"),
+    ("political: null\nmasks: [only_political]\n",
+     "Error: political set names unknown attributes: ['party', "
+     "'political_interest']; set political"),
+    ("political: null\nablation: true\n",
+     "Error: political set names unknown attributes: ['party', "
+     "'political_interest']; set political"),
 ], ids=["forest_key", "n_trees", "min_samples_leaf", "max_depth",
         "features_per_split", "backend_name", "backend_kind", "fewshot_k_0",
         "fewshot_k_negative", "variant", "mask", "fewshot_k_above_eligible",
@@ -453,11 +502,44 @@ def test_interaction_outside_main_effects_fails_before_any_work(
         "equality_pair_of_one_attribute", "fewshot_unknown_key",
         "dataset_unknown_key", "forest_seed_negative", "seed_negative",
         "seed_negative_with_forest_seed", "dataset_csv_empty",
-        "dataset_schema_empty", "output_empty", "cache_empty"])
+        "dataset_schema_empty", "output_empty", "cache_empty",
+        "backend_name_int", "backend_name_empty", "strategy_int",
+        "strategy_empty", "credential_env_int", "model_id_int", "endpoint_int",
+        "regression_name_int", "question_fixed_effects_string",
+        "main_effects_empty", "interactions_zero", "interactions_mapping",
+        "forest_false", "forest_empty_list", "fewshot_zero",
+        "fewshot_empty_list", "regressions_mapping", "equality_pairs_zero",
+        "equality_pairs_mapping", "political_unknown",
+        "default_political_without", "default_political_only",
+        "default_political_ablation"])
 def test_config_mistake_fails_before_any_work(tmp_path, monkeypatch, extra,
                                               message):
     # a key repeated in ``extra`` overrides write_config's, as YAML loads it
     assert message in _fails_before_any_work(tmp_path, monkeypatch, extra)
+
+
+def test_default_political_set_unchecked_when_no_mask_reads_it(tmp_path):
+    # the population's schema has neither party nor political_interest
+    write_population(tmp_path)
+    cfg = write_config(tmp_path, extra="masks: [all]\n")
+    cfg.write_text(cfg.read_text().replace("political: [ideology]\n", ""))
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg),
+                                       "--offline"])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "out" / "metrics.json").exists()
+
+
+def test_null_regression_fields_take_their_defaults(tmp_path):
+    write_population(tmp_path)
+    cfg = write_config(tmp_path, extra=(
+        "regressions:\n  - {name: null, main_effects: null, "
+        "interactions: null, question_fixed_effects: null}\n"))
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg),
+                                       "--offline"])
+    assert result.exit_code == 0, result.output
+    table = (tmp_path / "out" / "regression_model__mock.md").read_text()
+    assert "| **Question** | | |" in table
+    assert "| **ideology (ref = Center)** | | |" in table
 
 
 def test_empty_out_option_fails_before_any_work(tmp_path, monkeypatch):

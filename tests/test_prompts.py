@@ -395,7 +395,7 @@ def test_ablation_plan_structure():
     ])
     plan = ablation_plan(schema, political_set={"a0", "a1"})
     assert len(plan) == 13
-    labels = [m.label() for m in plan]
+    labels = [m.label for m in plan]
     assert labels[:3] == [
         "All", "Without political variables", "Only political variables"
     ]
@@ -406,5 +406,5 @@ def test_ablation_plan_structure():
 def test_ablation_plan_empty_political():
     schema = make_schema()
     plan = ablation_plan(schema, political_set=set())
-    only = [m for m in plan if m.label() == "Only political variables"][0]
+    only = [m for m in plan if m.label == "Only political variables"][0]
     assert only.filter_names(schema.names) == ()

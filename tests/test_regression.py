@@ -31,7 +31,9 @@ def saturated_design(n_ref=200, n_grp=200, acc_ref=0.5, acc_grp=0.75):
     X = np.column_stack([np.ones(n_ref + n_grp), dummy])
     return DesignMatrix(
         X=X, y=y, trials=np.ones(n_ref + n_grp),
-        columns=("intercept", "gender=Woman"), references={"gender": "Man"},
+        columns=("intercept", "gender=Woman"),
+        blocks=((None, ("intercept",)),
+                ("gender (ref = Man)", ("gender=Woman",))),
     )
 
 
@@ -47,7 +49,7 @@ def test_null_design_closed_form():
     y = np.concatenate([np.ones(700), np.zeros(300)])
     design = DesignMatrix(
         X=np.ones((n, 1)), y=y, trials=np.ones(n), columns=("question[q1]",),
-        references={},
+        blocks=(("Question", ("question[q1]",)),),
     )
     fit = fit_logit(design)
     assert abs(fit.coef("question[q1]") - math.log(0.7 / 0.3)) < 1e-8
@@ -288,12 +290,26 @@ def test_stars_thresholds():
 def test_summary_formatting():
     design = saturated_design()
     fit = fit_logit(design)
-    spec = ModelSpec(main_effects=("gender",), question_fixed_effects=False)
-    table = summarize(fit, spec, design)
+    table = summarize(fit, design)
     j = fit.columns.index("gender=Woman")
     p = fit.p_values[j]
     assert f"{fit.beta[j]:.2f} ({p:.3f}){stars_for(p)}" in table
     assert "(ref = Man)" in table
+
+
+def test_summary_lists_a_label_holding_x_under_its_attribute():
+    # " x " also joins the two halves of an interaction column's name
+    schema = make_schema(attrs=[
+        ("household", ("Single", "Couple x kids"), "Single")])
+    ds = make_dataset(n=60, schema=schema)
+    case = ds.cases[0]
+    preds = [Prediction(p.respondent_id, case.question_id, "t", "",
+                        (i % 3) % 2) for i, p in enumerate(ds.profiles)]
+    design = build_design(ds, preds, ModelSpec(main_effects=("household",)))
+    table = summarize(fit_logit(design), design).splitlines()
+    assert "| **Interaction terms** | | |" not in table
+    heading = table.index("| **household (ref = Single)** | | |")
+    assert table[heading + 1].startswith("| household=Couple x kids | ")
 
 
 def test_csv_rows_complete():
@@ -319,8 +335,10 @@ def _bernoulli_design(dataset, predictions, spec, policy):
             if (qids == case.question_id).any():
                 columns[f"question[{case.question_id}]"] = (
                     qids == case.question_id).astype(float)
+        blocks = [("Question", tuple(columns))]
     else:
         columns["intercept"] = np.ones(len(scored))
+        blocks = [(None, ("intercept",))]
     dummies = {}
     for name in spec.main_effects:
         attr = dataset.schema.attribute(name)
@@ -329,15 +347,20 @@ def _bernoulli_design(dataset, predictions, spec, policy):
                          for k, cat in enumerate(attr.categories)
                          if cat != attr.reference]
         columns.update((f"{name}={cat}", col) for cat, col in dummies[name])
+        blocks.append((f"{name} (ref = {attr.reference})",
+                       tuple(f"{name}={cat}" for cat, _ in dummies[name])))
+    interactions = {}
     for a, b in spec.interactions:
         for ca, col_a in dummies[a]:
             for cb, col_b in dummies[b]:
-                columns[f"{a}={ca} x {b}={cb}"] = col_a * col_b
+                interactions[f"{a}={ca} x {b}={cb}"] = col_a * col_b
+    if interactions:
+        columns.update(interactions)
+        blocks.append(("Interaction terms", tuple(interactions)))
     return DesignMatrix(
         X=np.column_stack(list(columns.values())), y=y,
         trials=np.ones(len(scored)), columns=tuple(columns),
-        references={n: dataset.schema.attribute(n).reference
-                    for n in spec.main_effects},
+        blocks=tuple(blocks),
     )
 
 
@@ -377,7 +400,7 @@ def test_binomial_rows_fit_like_bernoulli_rows(policy, spec):
         binomial = build_design(ds, preds, spec, policy=policy)
         bernoulli = _bernoulli_design(ds, preds, spec, policy)
         assert binomial.columns == bernoulli.columns
-        assert binomial.references == bernoulli.references
+        assert binomial.blocks == bernoulli.blocks
         assert binomial.trials.sum() == len(bernoulli.y)
         assert binomial.y.sum() == bernoulli.y.sum()
         assert len(binomial.y) < len(bernoulli.y)
@@ -393,7 +416,9 @@ def test_binomial_single_class_rejected():
     for y in ([0.0, 0.0, 0.0], [2.0, 5.0, 1.0]):
         design = DesignMatrix(X=X, y=np.array(y),
                               trials=np.array([2.0, 5.0, 1.0]),
-                              columns=("intercept", "g=1"), references={})
+                              columns=("intercept", "g=1"),
+                              blocks=((None, ("intercept",)),
+                                      ("g (ref = 0)", ("g=1",))))
         with pytest.raises(Separation):
             fit_logit(design)
     # one success out of 2 trials at g=0, five of six at g=1
