@@ -325,7 +325,7 @@ def write_bundle(bundle: ReportBundle, schema: AttributeSchema) -> None:
             for variant in variants:
                 vals = [index[(bname, variant, mask, cid)].accuracy
                         for cid in case_ids]
-                if not vals or any(v <= 0 for v in vals):
+                if not vals:  # a schema without questions gives no cells
                     continue
                 rows.append((bname, variant, harmonic_mean(vals),
                              min(vals), max(vals)))

@@ -29,6 +29,16 @@ from .errors import (
 )
 
 
+def file_name_part(value: str, what: str) -> str:
+    """``value``, a name that becomes part of a bundle file name; one that
+    holds '/' or NUL raises ValueError naming ``what``."""
+    for char in ("/", "\0"):
+        if char in value:
+            raise ValueError(f"{what} must not hold {char!r}, which no file "
+                             f"name can, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Attribute:
     """One socio-demographic attribute: name, category labels, reference."""
@@ -230,7 +240,8 @@ def load_schema(schema_path: str | Path) -> tuple[AttributeSchema, list[dict]]:
     try:
         attrs = tuple(
             Attribute(
-                name=get(a, "name", str, f"attributes[{i}]"),
+                name=file_name_part(get(a, "name", str, f"attributes[{i}]"),
+                                    f"attributes[{i}].name"),
                 categories=tuple(str(c) for c in get(
                     a, "categories", list, f"attributes[{i}]")),
                 reference=str(get(a, "reference", object, f"attributes[{i}]")),
@@ -239,7 +250,8 @@ def load_schema(schema_path: str | Path) -> tuple[AttributeSchema, list[dict]]:
         )
         questions = get(raw, "questions", list) if "questions" in raw else []
         for i, q in enumerate(questions):
-            get(q, "id", str, f"questions[{i}]")
+            file_name_part(get(q, "id", str, f"questions[{i}]"),
+                           f"questions[{i}].id")
             get(q, "options", list, f"questions[{i}]")
         schema = AttributeSchema(
             attributes=attrs,
@@ -261,7 +273,8 @@ def load_dataset(csv_path: str | Path, schema_path: str | Path) -> Dataset:
     schema, questions = load_schema(schema_path)
     csv_path = Path(csv_path)
     try:
-        fh = csv_path.open(newline="", encoding="utf-8")
+        # utf-8-sig drops the byte-order mark that spreadsheets write
+        fh = csv_path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"CSV file {csv_path}: {exc.strerror}") from None
     with fh:

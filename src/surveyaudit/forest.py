@@ -78,7 +78,6 @@ class ForestModel:
     trees: list[_Tree]
     schema: AttributeSchema
     n_classes: int
-    degenerate: bool = False  # single answer class in the training data
 
 
 def _columns(schema: AttributeSchema) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +308,6 @@ def fit_in_sample(
                            rngs),
         schema=dataset.schema,
         n_classes=n_classes,
-        degenerate=bool(y.min() == y.max()),
     )
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+from .data import file_name_part
 from .errors import AuthMissing, BackendUnavailable, MalformedLog, RateLimited
 from .prompts import RenderedPrompt
 
@@ -53,6 +54,7 @@ class BackendConfig:
         if not (isinstance(self.name, str) and self.name):
             raise ValueError(f"name must be a non-empty string, "
                              f"got {self.name!r}")
+        file_name_part(self.name, "name")
         for name, types in (("model_id", str), ("credential_env", str),
                             ("endpoint", (str, type(None)))):
             value = getattr(self, name)
@@ -86,13 +88,7 @@ class Prediction:
     parsed: Optional[int]
     latency_ms: float = 0.0
     cache_hit: bool = False
-    note: str = ""
-
-    @property
-    def failed(self) -> bool:
-        """Whether the backend raised instead of replying: ``run_batch``
-        notes a prediction only then."""
-        return bool(self.note)
+    note: str = ""  # why the backend failed; empty when it replied
 
 
 class Predictions(Sequence[Prediction]):
@@ -533,7 +529,7 @@ def run_batch(
     others take its reply, note and latency as cache hits.  A mock replies
     to every prompt, since its reply may depend on the target.  Each
     distinct (reply, case) is parsed once.  Per-prompt failures become
-    unparseable predictions with a note, which ``Prediction.failed`` reads;
+    unparseable predictions with a note;
     only configuration-level errors abort the batch.  The result's columns
     are filled directly; no per-prompt object is made.
     """

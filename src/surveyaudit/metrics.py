@@ -28,6 +28,8 @@ from .gateway import Prediction, Predictions
 
 POLICY_INCORRECT = "incorrect"
 POLICY_EXCLUDE = "exclude"
+# a tuple, not a set: a list or mapping then compares unequal, not unhashable
+POLICIES = (POLICY_INCORRECT, POLICY_EXCLUDE)
 # parsed code of a reply that matched no option
 UNPARSED = -1
 
@@ -197,10 +199,14 @@ def overall_accuracy_equality(
 
 
 def harmonic_mean(values: Sequence[float]) -> float:
+    """The harmonic mean of non-negative values; 0 when a value is 0, its
+    limit as that value falls to 0."""
     if not values:
         raise NonpositiveValue("harmonic mean of an empty list")
-    if any(v <= 0 for v in values):
-        raise NonpositiveValue("harmonic mean requires strictly positive values")
+    if any(v < 0 for v in values):
+        raise NonpositiveValue("harmonic mean requires non-negative values")
+    if 0 in values:
+        return 0.0
     return len(values) / sum(1.0 / v for v in values)
 
 
@@ -239,50 +245,20 @@ def compute_report(
 ) -> MetricReport:
     """Compute the full battery for one case's predictions.
 
-    With no parsed prediction there is no predicted distribution, so this
-    raises AllUnparseable; ``unparsed_report`` scores such a cell.
+    A cell with no parsed prediction is scored like any other: under
+    'incorrect' its accuracy and JSS are 0 and every group with members is
+    flagged.  With nothing scored, which happens only under 'exclude', this
+    raises AllUnparseable.
     """
     if not predictions:
         raise EmptyPredictions("no predictions to report on")
     predictions = Predictions.of(predictions)
     _, answers, parsed = outcome_codes(predictions, (case,))
-    if (parsed == UNPARSED).all():
-        raise AllUnparseable(
-            "every prediction is unparseable under 'exclude'"
-            if policy == POLICY_EXCLUDE
-            else "no parsed items to build a distribution from")
-    return _report(dataset, predictions, case, backend, policy, answers, parsed)
-
-
-def unparsed_report(
-    dataset: Dataset,
-    predictions: Sequence[Prediction],
-    case: SurveyCase,
-    backend: str = "",
-) -> MetricReport:
-    """The battery of a cell in which no prediction parsed, under
-    'incorrect': every prediction counts as wrong, JSS is 0 and every group
-    is flagged."""
-    if not predictions:
-        raise EmptyPredictions("no predictions to report on")
-    predictions = Predictions.of(predictions)
-    _, answers, parsed = outcome_codes(predictions, (case,))
-    return _report(dataset, predictions, case, backend, POLICY_INCORRECT,
-                   answers, parsed)
-
-
-def _report(
-    dataset: Dataset,
-    predictions: Predictions,
-    case: SurveyCase,
-    backend: str,
-    policy: str,
-    answers: np.ndarray,
-    parsed: np.ndarray,
-) -> MetricReport:
     n_options = len(case.options)
     overall = group_tally(np.zeros(len(parsed), np.intp), 1, answers, parsed,
                           n_options, policy)
+    if overall.scored[0] == 0:
+        raise AllUnparseable("every prediction is unparseable under 'exclude'")
     acc, overall_jss, _ = _scores(overall, 0)
 
     codes = dataset.coded.of(predictions.respondent_ids)

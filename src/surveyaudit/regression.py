@@ -16,11 +16,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, distinct_rows
+from .data import Dataset, distinct_rows, file_name_part
 from .errors import (CollinearColumn, EmptyDesign, Separation, Singular,
                      Unfittable)
 from .gateway import Prediction, Predictions
-from .metrics import group_tally, outcome_codes
+from .metrics import POLICY_INCORRECT, group_tally, outcome_codes
 
 SEPARATION_BETA = 30.0
 # Newton steps before a fit is reported as not converged, and the largest
@@ -42,6 +42,7 @@ class ModelSpec:
         if not (isinstance(self.name, str) and self.name):
             raise ValueError(f"name must be a non-empty string, "
                              f"got {self.name!r}")
+        file_name_part(self.name, "name")
         if not isinstance(self.question_fixed_effects, bool):
             raise ValueError(f"question_fixed_effects must be a bool, "
                              f"got {self.question_fixed_effects!r}")
@@ -79,12 +80,6 @@ class FitResult:
     iterations: int
     converged: bool
 
-    def coef(self, column: str) -> float:
-        return float(self.beta[self.columns.index(column)])
-
-    def se_of(self, column: str) -> float:
-        return float(self.se[self.columns.index(column)])
-
 
 def stars_for(p: float) -> str:
     if p < 0.01:
@@ -100,7 +95,7 @@ def build_design(
     dataset: Dataset,
     predictions: Sequence[Prediction],
     spec: ModelSpec,
-    policy: str = "incorrect",
+    policy: str = POLICY_INCORRECT,
 ) -> DesignMatrix:
     """Assemble the dummy-coded design, one binomial row per (question,
     main-effect categories) that holds a scored prediction.

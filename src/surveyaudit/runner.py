@@ -56,7 +56,7 @@ class ExperimentConfig:
     forest_params: dict = field(default_factory=dict)
     forest_seed: int = 0
     regressions: list[dict] = field(default_factory=list)
-    unparseable_policy: str = "incorrect"
+    unparseable_policy: str = metrics_mod.POLICY_INCORRECT
     equality_tolerance: float = 0.05
     equality_pairs: list[tuple[str, str]] = field(default_factory=list)
     seed: int = 0
@@ -150,7 +150,7 @@ def load_config(path: str | Path, seed: Optional[int] = None
         forest_params=forest,
         forest_seed=forest_seed,
         regressions=regressions,
-        unparseable_policy=raw.get("unparseable", "incorrect"),
+        unparseable_policy=raw.get("unparseable", metrics_mod.POLICY_INCORRECT),
         equality_tolerance=tolerance,
         equality_pairs=[tuple(p) for p in pairs],
         seed=seed,
@@ -159,8 +159,7 @@ def load_config(path: str | Path, seed: Optional[int] = None
         out_dir=resolve(raw.get("output", "out"), "output"),
         config_hash=hashlib.sha256(raw_bytes).hexdigest(),
     )
-    # a tuple, not a set: a list or mapping then compares unequal, not unhashable
-    if cfg.unparseable_policy not in ("incorrect", "exclude"):
+    if cfg.unparseable_policy not in metrics_mod.POLICIES:
         raise ConfigError(f"unknown unparseable policy {cfg.unparseable_policy!r}")
     return cfg
 
@@ -282,6 +281,9 @@ def _backend_config(entry: dict, dataset: Dataset, offline: bool
     if strategy is not None and not (isinstance(strategy, str) and strategy):
         raise ConfigError(f"{what}: strategy: expected a non-empty string, "
                           f"got {strategy!r}")
+    if strategy == "fixed:":
+        raise ConfigError(f"{what}: strategy: 'fixed:' needs a label, as in "
+                          f"'fixed:Agree'")
     if offline and entry.get("kind") == "remote":
         entry["kind"] = "replay"
     config = _construct(BackendConfig, entry, what)
@@ -398,18 +400,22 @@ def _plan(cfg: ExperimentConfig, offline: bool) -> Plan:
     else:
         masks = [_parse_mask(m, political, names) for m in cfg.masks]
     variants = [_VARIANTS[v] for v in cfg.variants]
-    if any(v.uses_fewshot for v in variants):
-        if cfg.fewshot_k < 1:
-            raise ConfigError(f"fewshot.k must be >= 1 for a few-shot "
-                              f"variant, got {cfg.fewshot_k}")
-        for case in cases:
-            # the examples of a respondent are the other answered respondents
-            answered = len(dataset.answered(case)[0])
-            if answered and cfg.fewshot_k > answered - 1:
-                raise ConfigError(
-                    f"fewshot.k is {cfg.fewshot_k}, but case {case.question_id!r} "
-                    f"has only {answered - 1} eligible examples per respondent "
-                    f"({answered} answered respondents)")
+    fewshot = any(v.uses_fewshot for v in variants)
+    if fewshot and cfg.fewshot_k < 1:
+        raise ConfigError(f"fewshot.k must be >= 1 for a few-shot "
+                          f"variant, got {cfg.fewshot_k}")
+    for case in cases:
+        answered = len(dataset.answered(case)[0])
+        if answered < 2:
+            raise ConfigError(
+                f"case {case.question_id!r} has {answered} answered "
+                f"respondent(s); the forest ceiling needs at least 2")
+        # the examples of a respondent are the other answered respondents
+        if fewshot and cfg.fewshot_k > answered - 1:
+            raise ConfigError(
+                f"fewshot.k is {cfg.fewshot_k}, but case {case.question_id!r} "
+                f"has only {answered - 1} eligible examples per respondent "
+                f"({answered} answered respondents)")
     if PromptVariant.WITH_CONTEXT in variants:
         bare = [c.question_id for c in cases if not c.context_blurb]
         if bare:
@@ -523,17 +529,9 @@ def _run_cell(dataset: Dataset, cfg: ExperimentConfig, backend,
                             backend, cache)
     refuse_failures(bname, case.question_id, variant.value, mask.label,
                     predictions)
-    if (cfg.unparseable_policy == metrics_mod.POLICY_INCORRECT
-            and all(v is None for v in predictions.parsed)):
-        # replies that all fail to parse are scored; under 'exclude'
-        # compute_report finds nothing to score and stops the run
-        report = metrics_mod.unparsed_report(
-            dataset, predictions, case, backend=bname)
-    else:
-        report = metrics_mod.compute_report(
-            dataset, predictions, case, backend=bname,
-            policy=cfg.unparseable_policy,
-        )
+    report = metrics_mod.compute_report(dataset, predictions, case,
+                                        backend=bname,
+                                        policy=cfg.unparseable_policy)
     report.relative = {m: metrics_mod.ceiling_ratio(getattr(report, m), getattr(base, m))
                        for m in ("accuracy", "jss")}
     return CellResult(bname, case.question_id, variant.value, mask.label,

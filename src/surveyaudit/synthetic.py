@@ -219,12 +219,16 @@ def brute_force_metrics(
         scored = [p for p in preds if p.parsed is not None]
     else:
         scored = list(preds)
+    if not scored:
+        from .errors import AllUnparseable
+
+        raise AllUnparseable("no prediction is scored")
 
     n_correct = 0
     for p in scored:
         if p.parsed is not None and p.parsed == case.answers[p.respondent_id]:
             n_correct += 1
-    acc = n_correct / len(scored) if scored else float("nan")
+    acc = n_correct / len(scored)
 
     truth_counts: dict[int, int] = {}
     pred_counts: dict[int, int] = {}
@@ -234,11 +238,8 @@ def brute_force_metrics(
     for p in preds:
         if p.parsed is not None:
             pred_counts[p.parsed] = pred_counts.get(p.parsed, 0) + 1
-    if not pred_counts:
-        from .errors import AllUnparseable
-
-        raise AllUnparseable("no parsed predictions at all")
-    overall_jss = _jss_plain(truth_counts, pred_counts, len(case.options))
+    overall_jss = (_jss_plain(truth_counts, pred_counts, len(case.options))
+                   if pred_counts else 0.0)
 
     profile_of = {pr.respondent_id: pr for pr in dataset.profiles}
     weighted: dict[str, float] = {}

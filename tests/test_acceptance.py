@@ -192,8 +192,8 @@ def test_logit_oracle():
                 ("gender (ref = Man)", ("gender=Woman",))),
     )
     fit = fit_logit(design)
-    assert abs(fit.coef("intercept")) < 1e-6
-    assert abs(fit.coef("gender=Woman") - math.log(3)) < 1e-6
+    assert abs(fit.beta[fit.columns.index("intercept")]) < 1e-6
+    assert abs(fit.beta[fit.columns.index("gender=Woman")] - math.log(3)) < 1e-6
 
     planted = {
         "question[q1]": math.log(0.8 / 0.2),
@@ -205,9 +205,10 @@ def test_logit_oracle():
         ds, preds = _planted_population(seed=1000 + run)
         design = build_design(ds, preds, spec)
         fit = fit_logit(design)
+        at = [fit.columns.index(col) for col in planted]
         ok = all(
-            abs(fit.coef(col) - truth) <= 3 * fit.se_of(col)
-            for col, truth in planted.items()
+            abs(fit.beta[j] - truth) <= 3 * fit.se[j]
+            for j, truth in zip(at, planted.values())
         )
         hits += ok
         # the weighted score equations X'(s - m * mu) = 0
@@ -324,18 +325,19 @@ def test_metric_engine_matches_brute_force():
         ds, preds = _random_population(rng)
         case = ds.cases[0]
 
-        if i % 100 == 50:
-            # whole-case all-unparseable edge: both paths refuse
-            blank = [
+        blank = i % 100 == 50
+        if blank:
+            # whole-case all-unparseable edge: under 'exclude' nothing is
+            # scored and both paths refuse; under 'incorrect' both score it
+            preds = [
                 Prediction(p.respondent_id, p.question_id, p.backend, "", None)
                 for p in preds
             ]
             with pytest.raises(AllUnparseable):
-                compute_report(ds, blank, case)
+                compute_report(ds, preds, case, policy="exclude")
             with pytest.raises(AllUnparseable):
-                brute_force_metrics(ds, blank, case)
-            continue
-        if i % 25 == 0:
+                brute_force_metrics(ds, preds, case, policy="exclude")
+        elif i % 25 == 0:
             # one whole category unparseable
             drop = {
                 p.respondent_id for p in ds.profiles
@@ -346,11 +348,13 @@ def test_metric_engine_matches_brute_force():
                            None if p.respondent_id in drop else p.parsed)
                 for p in preds
             ]
-            if all(p.parsed is None for p in preds):
-                continue
 
         engine = compute_report(ds, preds, case)
         oracle = brute_force_metrics(ds, preds, case)
+        if blank:
+            assert engine.accuracy == oracle["accuracy"] == 0.0
+            assert engine.jss == oracle["jss"] == 0.0
+            assert engine.per_group_jss == oracle["per_group_jss"]
         assert abs(engine.accuracy - oracle["accuracy"]) < 1e-10
         assert abs(engine.jss - oracle["jss"]) < 1e-10
         for attr in ds.schema.names:

@@ -169,6 +169,29 @@ def test_all_unparseable_cell_is_scored(tmp_path):
         assert ["gender", "Man"] in report["flagged_groups"]
 
 
+def test_sensitivity_lists_a_backend_with_zero_accuracy(tmp_path):
+    # the harmonic mean of accuracies with a 0 among them is 0, the worst
+    # row, and is listed like any other
+    write_population(tmp_path, questions=("vote", "trust"))
+    cfg = write_config(tmp_path, extra=(
+        "variants: [zeroshot, original]\n"
+        "backends:\n"
+        "  - {name: never, kind: mock, strategy: unparseable}\n"
+        "  - {name: oracle, kind: mock, strategy: truth}\n"))
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--offline"])
+    assert result.exit_code == 0, result.output
+    rows = json.loads((tmp_path / "out" / "sensitivity.json").read_text())
+    assert [(r["backend"], r["variant"], r["harmonic_mean"], r["min"], r["max"])
+            for r in rows] == [
+        ("never", "zeroshot", 0.0, 0.0, 0.0),
+        ("never", "original", 0.0, 0.0, 0.0),
+        ("oracle", "zeroshot", 1.0, 1.0, 1.0),
+        ("oracle", "original", 1.0, 1.0, 1.0),
+    ]
+    table = (tmp_path / "out" / "sensitivity.md").read_text()
+    assert "| never | zeroshot | 0.00 | 0.00 | 0.00 |" in table
+
+
 def _mock_run(tmp_path, strategy, extra=""):
     """Run one mock backend of ``strategy``; the metrics.json cells and
     the prediction records."""
@@ -477,6 +500,18 @@ def test_interaction_outside_main_effects_fails_before_any_work(
     ("political: null\nablation: true\n",
      "Error: political set names unknown attributes: ['party', "
      "'political_interest']; set political"),
+    ("backends:\n  - {name: a/b, kind: mock}\n",
+     "Error: backend 'a/b': name must not hold '/', which no file name can, "
+     "got 'a/b'"),
+    ('backends:\n  - {name: "a\\0b", kind: mock}\n',
+     "Error: backend 'a\\x00b': name must not hold '\\x00', which no file "
+     "name can, got 'a\\x00b'"),
+    ("regressions:\n  - {name: m/1, main_effects: [gender]}\n",
+     "Error: regression 'm/1': name must not hold '/', which no file name "
+     "can, got 'm/1'"),
+    ("backends:\n  - {name: m, kind: mock, strategy: 'fixed:'}\n",
+     "Error: backend 'm': strategy: 'fixed:' needs a label, as in "
+     "'fixed:Agree'"),
 ], ids=["forest_key", "n_trees", "min_samples_leaf", "max_depth",
         "features_per_split", "backend_name", "backend_kind", "fewshot_k_0",
         "fewshot_k_negative", "variant", "mask", "fewshot_k_above_eligible",
@@ -511,7 +546,8 @@ def test_interaction_outside_main_effects_fails_before_any_work(
         "fewshot_empty_list", "regressions_mapping", "equality_pairs_zero",
         "equality_pairs_mapping", "political_unknown",
         "default_political_without", "default_political_only",
-        "default_political_ablation"])
+        "default_political_ablation", "backend_name_slash", "backend_name_nul",
+        "regression_name_slash", "fixed_without_label"])
 def test_config_mistake_fails_before_any_work(tmp_path, monkeypatch, extra,
                                               message):
     # a key repeated in ``extra`` overrides write_config's, as YAML loads it
@@ -607,6 +643,40 @@ def test_dataset_file_not_utf8_fails_before_any_work(tmp_path, monkeypatch,
                                     f"dataset: {dataset}\n")
     assert (f"Error: {kind} {tmp_path / name}: not UTF-8: 'utf-8' codec "
             "can't decode byte 0xff" in output)
+
+
+NAMES_SCHEMA = """\
+id_column: respondent_id
+attributes:
+  - {name: gender, categories: [Man, Woman], reference: Man}
+questions:
+  - {id: vote, options: [OptA, OptB]}
+"""
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("name: gender", "name: race/eth", "attributes[0].name"),
+    ("id: vote", "id: vote/2024", "questions[0].id"),
+], ids=["attribute", "question"])
+def test_schema_name_with_a_slash_fails_before_any_work(tmp_path, monkeypatch,
+                                                         old, new, key):
+    # attribute names and question ids become parts of plot file names
+    (tmp_path / "names.yaml").write_text(NAMES_SCHEMA.replace(old, new))
+    output = _fails_before_any_work(
+        tmp_path, monkeypatch, "dataset: {csv: data.csv, schema: names.yaml}\n")
+    value = new.split(": ")[1]
+    assert (f"Error: schema {tmp_path / 'names.yaml'}: {key} must not hold "
+            f"'/', which no file name can, got {value!r}") in output
+
+
+def test_case_with_one_respondent_fails_before_any_work(tmp_path, monkeypatch):
+    write_population(tmp_path)
+    lines = (tmp_path / "data.csv").read_text().splitlines()
+    (tmp_path / "one.csv").write_text("\n".join(lines[:2]) + "\n")
+    output = _fails_before_any_work(
+        tmp_path, monkeypatch, "dataset: {csv: one.csv, schema: schema.yaml}\n")
+    assert ("Error: case 'vote' has 1 answered respondent(s); the forest "
+            "ceiling needs at least 2") in output
 
 
 def test_regress_names_a_missing_dataset_file(tmp_path):

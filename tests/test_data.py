@@ -101,6 +101,13 @@ def test_malformed_schema_names_the_file_and_key(csv_file, schema_yaml, edit,
     assert str(exc.value).startswith(f"schema {schema_yaml}: {message}")
 
 
+def test_load_skips_a_byte_order_mark(tmp_path, csv_file, schema_yaml):
+    # spreadsheets save "CSV UTF-8" with a leading byte-order mark
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + csv_file.read_bytes())
+    assert load_dataset(bom, schema_yaml) == load_dataset(csv_file, schema_yaml)
+
+
 def test_round_trip(tmp_path, csv_file, schema_yaml):
     ds = load_dataset(csv_file, schema_yaml)
     save_dataset(ds, tmp_path / "out.csv", tmp_path / "out_schema.yaml")

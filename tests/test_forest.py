@@ -46,15 +46,14 @@ def test_noiseless_mapping_memorized():
         y == case.answers[p.respondent_id] for p, y in zip(ds.profiles, predicted)
     )
     assert correct == len(ds.profiles)
-    assert not model.degenerate
+    assert len(set(predicted)) > 1
 
 
 def test_degenerate_single_class():
     ds = make_dataset(n=20, options=("A", "B"), answer_fn=lambda i, p: 0)
     case = ds.cases[0]
     model = fit_in_sample(ds, case, FAST, seed=1)
-    assert model.degenerate
-    assert all(y == 0 for y in predict(model, ds.coded.codes))
+    assert set(predict(model, ds.coded.codes)) == {0}
 
 
 def test_same_seed_identical_predictions():

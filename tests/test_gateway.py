@@ -324,7 +324,7 @@ def test_run_batch_parses_each_distinct_reply_of_a_case_once(monkeypatch):
         else:
             expected.append((raw, parse(raw, options[prompt.case_id]), ""))
     assert [(p.raw_text, p.parsed, p.note) for p in preds] == expected
-    assert sum(p.failed for p in preds) == 6
+    assert sum(bool(p.note) for p in preds) == 6
 
 
 def test_run_batch_replay_determinism(tmp_path, monkeypatch):
@@ -449,10 +449,10 @@ def test_failing_shared_key_is_sent_once(tmp_path, monkeypatch, parallelism):
     for prompt, pred in zip(prompts, preds):
         assert pred.respondent_id == prompt.target_id
         if prompt.text == bad:
-            assert pred.failed and pred.parsed is None and not pred.cache_hit
+            assert pred.note and pred.parsed is None and not pred.cache_hit
             assert "request rejected (400)" in pred.note
         else:
-            assert not pred.failed and pred.parsed == 0
+            assert not pred.note and pred.parsed == 0
     assert [p.cache_hit for p in preds if p.raw_text] == [False] + [True] * 4
 
 

@@ -246,8 +246,10 @@ def test_harmonic_mean_hand():
 
 
 def test_harmonic_mean_guard():
+    # a zero is the limit of the mean as the value falls to 0
+    assert harmonic_mean([0.5, 0.0]) == 0.0
     with pytest.raises(NonpositiveValue):
-        harmonic_mean([0.5, 0.0])
+        harmonic_mean([0.5, -1.0])
 
 
 @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=10))
