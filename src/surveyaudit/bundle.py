@@ -320,13 +320,11 @@ def write_bundle(bundle: ReportBundle, schema: AttributeSchema) -> None:
 
     if len(variants) > 1:
         rows = []
-        mask = bundle.primary[0].mask_label if bundle.primary else None
+        mask = bundle.primary[0].mask_label
         for bname in manifest["backends"]:
             for variant in variants:
                 vals = [index[(bname, variant, mask, cid)].accuracy
                         for cid in case_ids]
-                if not vals:  # a schema without questions gives no cells
-                    continue
                 rows.append((bname, variant, harmonic_mean(vals),
                              min(vals), max(vals)))
         table = _table(["Backend", "Variant", "Harmonic mean", "Min", "Max"], [

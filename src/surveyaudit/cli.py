@@ -7,27 +7,18 @@ from pathlib import Path
 import click
 
 from . import synthetic as synth_mod
-from .bundle import read_cells, write_regressions
-from .data import load_dataset, save_dataset
-from .errors import ConfigError, SurveyAuditError
+from .data import save_dataset
+from .errors import ConfigError, SurveyAuditError, expect
 from .metrics import compute_report
-from .runner import (
-    ExperimentConfig,
-    _integer,
-    fit_regressions,
-    load_config,
-    primary_cells,
-    refuse_failures,
-    regression_specs,
-    run_experiment,
-)
+from .prompts import PromptVariant
+from .runner import (ExperimentConfig, integer, load_config,
+                     refit_regressions, run_experiment)
 
 
 def _load(config_path: str, out: str | None,
           seed: int | None = None) -> ExperimentConfig:
-    if out == "":
-        # as ``output: ''`` is refused, not replaced by the config's output
-        raise ConfigError("--out: expected a path, got ''")
+    # as ``output: ''`` is refused, not replaced by the config's output
+    expect(out != "", "--out", "a path", out)
     cfg = load_config(config_path, seed)
     if out is not None:
         cfg.out_dir = Path(out)
@@ -91,7 +82,8 @@ def prompt_sweep(config_path, out, offline, seed):
     """Run every configured prompt variant and summarize sensitivity."""
     def adjust(cfg):
         if len(cfg.variants) < 2:
-            cfg.variants = ["original", "spanish", "zeroshot"]
+            cfg.variants = [PromptVariant.ORIGINAL, PromptVariant.SPANISH,
+                            PromptVariant.ZERO_SHOT]
 
     _audit(config_path, out, offline, seed, "sweep bundle written to", adjust)
 
@@ -108,18 +100,8 @@ def regress(config_path, out, predictions_path):
     whose primary cells hold a backend failure is refused, as ``run``
     refuses the failure."""
     try:
-        cfg = _load(config_path, out)
-        dataset = load_dataset(cfg.csv_path, cfg.schema_path)
-        primary = primary_cells(read_cells(predictions_path), cfg.variants[0])
-        if not primary:
-            raise ConfigError(f"{predictions_path} has no predictions of "
-                              f"variant {cfg.variants[0]!r}")
-        for c in primary:
-            refuse_failures(c.backend, c.case_id, c.variant, c.mask_label,
-                            c.predictions)
-        regressions = fit_regressions(dataset, regression_specs(dataset, cfg),
-                                      primary, cfg.unparseable_policy)
-        write_regressions(cfg.out_dir, regressions)
+        regressions = refit_regressions(_load(config_path, out),
+                                        predictions_path)
     except SurveyAuditError as exc:
         raise click.ClickException(str(exc))
     for key, bits in regressions.items():
@@ -185,7 +167,7 @@ def _population_spec_from(section) -> "synth_mod.PopulationSpec":
         return synth_mod.PopulationSpec(
             schema=schema,
             marginals={a["name"]: list(a["marginals"]) for a in attrs},
-            n=_integer(section["n"], "synthetic.n"),
+            n=integer(section["n"], "synthetic.n"),
             cases=tuple(
                 synth_mod.CaseSpec(c["id"], tuple(c["options"]),
                                    tuple(c["probs"]), c.get("depends_on"),
@@ -194,7 +176,7 @@ def _population_spec_from(section) -> "synth_mod.PopulationSpec":
             correctness_intercept=float(correctness.get("intercept", 1.0)),
             correctness_beta=dict(correctness.get("beta") or {}),
             unparseable_rate=float(section.get("unparseable_rate", 0.0)),
-            seed=_integer(section.get("seed", 0), "synthetic.seed", minimum=0),
+            seed=integer(section.get("seed", 0), "synthetic.seed", minimum=0),
         )
     except KeyError as exc:
         raise ConfigError(f"synthetic: missing key {exc.args[0]!r}") from None

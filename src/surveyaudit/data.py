@@ -26,6 +26,7 @@ from .errors import (
     MissingColumn,
     UnknownAttribute,
     UnknownCategory,
+    expect,
 )
 
 
@@ -71,11 +72,14 @@ class AttributeSchema:
     answer_columns: tuple[str, ...]
 
     def __post_init__(self):
-        names = [a.name for a in self.attributes]
-        if len(set(names)) != len(names):
-            raise ValueError("attribute names must be unique")
-        if len(set(self.answer_columns)) != len(self.answer_columns):
-            raise ValueError("question ids must be unique")
+        # each reads a CSV column of its own: a question sharing an
+        # attribute's column would show the target its own answer
+        columns = [self.id_column, *self.names, *self.answer_columns]
+        shared = sorted({c for c in columns if columns.count(c) > 1})
+        if shared:
+            raise ValueError(f"the id column, the attributes and the "
+                             f"questions each need a CSV column of their "
+                             f"own, but {shared} names more than one")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -226,14 +230,12 @@ def load_schema(schema_path: str | Path) -> tuple[AttributeSchema, list[dict]]:
         """``mapping[key]`` when ``mapping`` is a mapping and the value a
         ``kind``; ``where`` names the mapping."""
         name = f"{where}.{key}" if where else key
-        if not isinstance(mapping, dict):
-            raise ConfigError(f"schema {path}: {where or 'file'}: expected "
-                              f"a mapping, got {mapping!r}")
+        expect(isinstance(mapping, dict), f"schema {path}: {where or 'file'}",
+               "a mapping", mapping)
         if key not in mapping:
             raise ConfigError(f"schema {path}: missing key {name!r}")
-        if not isinstance(mapping[key], kind):
-            raise ConfigError(f"schema {path}: {name}: expected "
-                              f"{kind.__name__}, got {mapping[key]!r}")
+        expect(isinstance(mapping[key], kind), f"schema {path}: {name}",
+               kind.__name__, mapping[key])
         return mapping[key]
 
     id_column = get(raw, "id_column", str)

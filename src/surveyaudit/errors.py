@@ -126,3 +126,10 @@ class InvalidSpec(SurveyAuditError):
 
 class ConfigError(SurveyAuditError):
     pass
+
+
+def expect(ok: bool, what: str, kind: str, value) -> None:
+    """Refuse a config value of the wrong kind: unless ``ok``, raise the
+    ``ConfigError`` "<what>: expected <kind>, got <value!r>"."""
+    if not ok:
+        raise ConfigError(f"{what}: expected {kind}, got {value!r}")

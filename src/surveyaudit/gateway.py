@@ -27,7 +27,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .data import file_name_part
-from .errors import AuthMissing, BackendUnavailable, MalformedLog, RateLimited
+from .errors import (AuthMissing, BackendUnavailable, ConfigError,
+                     MalformedLog, RateLimited)
 from .prompts import RenderedPrompt
 
 UNPARSEABLE = None
@@ -49,6 +50,8 @@ class BackendConfig:
     parallelism: int = 1
     rate_limit: Optional[float] = None  # requests/minute
     credential_env: str = "SURVEYAUDIT_API_KEY"
+    # how a mock replies (see ``runner._mock_reply_fn``); None: first_option
+    strategy: Optional[str] = None
 
     def __post_init__(self):
         if not (isinstance(self.name, str) and self.name):
@@ -77,6 +80,15 @@ class BackendConfig:
                 _is_number(self.rate_limit) and 0 < self.rate_limit < math.inf):
             raise ValueError(f"rate_limit must be None or a finite number > 0, "
                              f"got {self.rate_limit!r}")
+        if self.strategy is not None:
+            if not (isinstance(self.strategy, str) and self.strategy):
+                raise ValueError(f"strategy: expected a non-empty string, "
+                                 f"got {self.strategy!r}")
+            if self.strategy == "fixed:":
+                raise ValueError("strategy: 'fixed:' needs a label, as in "
+                                 "'fixed:Agree'")
+            if self.kind != "mock":
+                raise ValueError("strategy applies only to mock backends")
 
 
 @dataclass(frozen=True)
@@ -244,7 +256,12 @@ class ExchangeCache:
         # needs mending first
         self._keep: Optional[int] = None
         if self.path and self.path.exists():
-            with self.path.open("rb") as fh:
+            try:
+                fh = self.path.open("rb")
+            except OSError as exc:
+                raise ConfigError(f"cache file {self.path}: "
+                                  f"{exc.strerror}") from None
+            with fh:
                 line = b""
                 for number, line in enumerate(fh, start=1):
                     if not line.strip():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -19,9 +19,10 @@ import yaml
 
 from . import forest as forest_mod
 from . import metrics as metrics_mod
-from .bundle import CellResult, ReportBundle, write_bundle
+from .bundle import (CellResult, ReportBundle, read_cells, write_bundle,
+                     write_regressions)
 from .data import Dataset, SocioProfile, SurveyCase, load_dataset
-from .errors import BackendUnavailable, ConfigError, Unfittable
+from .errors import BackendUnavailable, ConfigError, Unfittable, expect
 from .gateway import (BackendConfig, ExchangeCache, Prediction, Predictions,
                       build_backend, run_batch)
 from .metrics import intersection_accuracy
@@ -36,7 +37,6 @@ from .prompts import (
 )
 from .regression import ModelSpec, build_design, fit_logit
 
-_VARIANTS = {v.value: v for v in PromptVariant}
 _CONFIG_KEYS = ("dataset backends cases variant variants masks ablation fewshot "
                 "political forest regressions unparseable equality_tolerance "
                 "equality_pairs seed cache output").split()
@@ -47,22 +47,22 @@ class ExperimentConfig:
     csv_path: Path
     schema_path: Path
     backends: list[dict]
-    case_ids: Optional[list[str]] = None
-    variants: list[str] = field(default_factory=lambda: ["original"])
-    masks: list[str] = field(default_factory=lambda: ["all"])
-    ablation: bool = False
-    fewshot_k: int = DEFAULT_FEWSHOT_K
-    political: Optional[list[str]] = None  # None: DEFAULT_POLITICAL
-    forest_params: dict = field(default_factory=dict)
-    forest_seed: int = 0
-    regressions: list[dict] = field(default_factory=list)
-    unparseable_policy: str = metrics_mod.POLICY_INCORRECT
-    equality_tolerance: float = 0.05
-    equality_pairs: list[tuple[str, str]] = field(default_factory=list)
-    seed: int = 0
-    cache_path: Optional[Path] = None
-    out_dir: Path = Path("out")
-    config_hash: str = ""
+    case_ids: Optional[list[str]]  # None: every question of the schema
+    variants: list[PromptVariant]
+    masks: list[str]
+    ablation: bool
+    fewshot_k: int
+    political: Optional[list[str]]  # None: DEFAULT_POLITICAL
+    forest: forest_mod.ForestParams
+    forest_seed: int
+    regressions: list[dict]
+    unparseable_policy: str
+    equality_tolerance: float
+    equality_pairs: list[tuple[str, str]]
+    seed: int
+    cache_path: Optional[Path]
+    out_dir: Path
+    config_hash: str
 
 
 def load_config(path: str | Path, seed: Optional[int] = None
@@ -91,33 +91,26 @@ def load_config(path: str | Path, seed: Optional[int] = None
 
     if "variant" in raw and "variants" in raw:
         raise ConfigError("config gives both variant and variants")
-    variants = (_names(raw, "variants", "variant")
-                or [raw.get("variant", "original")])
-    for v in variants:
-        if not isinstance(v, str) or v not in _VARIANTS:
-            raise ConfigError(f"unknown prompt variant {v!r}")
+    variants = [_variant(v) for v in (_names(raw, "variants", "variant")
+                                      or [raw.get("variant", "original")])]
 
     # numpy seeds no generator with a negative integer
-    config_seed = _integer(raw.get("seed", 0), "seed", minimum=0)
-    seed = config_seed if seed is None else _integer(seed, "--seed", minimum=0)
+    config_seed = integer(raw.get("seed", 0), "seed", minimum=0)
+    seed = config_seed if seed is None else integer(seed, "--seed", minimum=0)
     fewshot = _mapping(_given(raw, "fewshot", {}), "fewshot", ("k",))
-    fewshot_k = _integer(fewshot.get("k", DEFAULT_FEWSHOT_K), "fewshot.k")
+    fewshot_k = integer(fewshot.get("k", DEFAULT_FEWSHOT_K), "fewshot.k")
     forest = _mapping(_given(raw, "forest", {}), "forest")
-    forest_seed = _integer(forest.pop("seed", seed), "forest.seed", minimum=0)
+    forest_seed = integer(forest.pop("seed", seed), "forest.seed", minimum=0)
     ablation = raw.get("ablation", False)
-    if not isinstance(ablation, bool):
-        raise ConfigError(f"ablation: expected bool, got {ablation!r}")
+    expect(isinstance(ablation, bool), "ablation", "bool", ablation)
     if ablation and "masks" in raw:
         raise ConfigError("config gives both masks and ablation: true")
-    case_ids = _names(raw, "cases", "question id")
     tolerance = raw.get("equality_tolerance", 0.05)
-    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
-        raise ConfigError(f"equality_tolerance: expected float, "
-                          f"got {tolerance!r}")
+    expect(isinstance(tolerance, (int, float)) and not isinstance(tolerance, bool),
+           "equality_tolerance", "float", tolerance)
     tolerance = float(tolerance)
-    if not 0 <= tolerance < math.inf:  # false for nan
-        raise ConfigError(f"equality_tolerance: expected a finite number "
-                          f">= 0, got {tolerance!r}")
+    expect(0 <= tolerance < math.inf,  # false for nan
+           "equality_tolerance", "a finite number >= 0", tolerance)
     pairs = _list(raw, "equality_pairs")
     for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
@@ -128,29 +121,30 @@ def load_config(path: str | Path, seed: Optional[int] = None
                               f"twice, got {pair!r}")
     regressions = [_mapping(entry, "regression entry")
                    for entry in _list(raw, "regressions")]
+    policy = raw.get("unparseable", metrics_mod.POLICY_INCORRECT)
+    if policy not in metrics_mod.POLICIES:
+        raise ConfigError(f"unknown unparseable policy {policy!r}")
 
     base = path.parent
 
     def resolve(p, key: str):
-        if not isinstance(p, str) or not p:
-            raise ConfigError(f"{key}: expected a path, got {p!r}")
-        p = Path(p)
-        return p if p.is_absolute() else base / p
+        expect(isinstance(p, str) and p != "", key, "a path", p)
+        return base / p  # an absolute p replaces base
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         csv_path=resolve(ds["csv"], "dataset.csv"),
         schema_path=resolve(ds["schema"], "dataset.schema"),
         backends=backends,
-        case_ids=case_ids,
-        variants=list(variants),
-        masks=list(_names(raw, "masks", "mask") or ["all"]),
+        case_ids=_names(raw, "cases", "question id"),
+        variants=variants,
+        masks=_names(raw, "masks", "mask") or ["all"],
         ablation=ablation,
         fewshot_k=fewshot_k,
         political=_names(raw, "political", "attribute"),
-        forest_params=forest,
+        forest=_construct(forest_mod.ForestParams, forest, "forest"),
         forest_seed=forest_seed,
         regressions=regressions,
-        unparseable_policy=raw.get("unparseable", metrics_mod.POLICY_INCORRECT),
+        unparseable_policy=policy,
         equality_tolerance=tolerance,
         equality_pairs=[tuple(p) for p in pairs],
         seed=seed,
@@ -159,9 +153,13 @@ def load_config(path: str | Path, seed: Optional[int] = None
         out_dir=resolve(raw.get("output", "out"), "output"),
         config_hash=hashlib.sha256(raw_bytes).hexdigest(),
     )
-    if cfg.unparseable_policy not in metrics_mod.POLICIES:
-        raise ConfigError(f"unknown unparseable policy {cfg.unparseable_policy!r}")
-    return cfg
+
+
+def _variant(value) -> PromptVariant:
+    try:
+        return PromptVariant(value)
+    except ValueError:
+        raise ConfigError(f"unknown prompt variant {value!r}") from None
 
 
 def _is_names(value) -> bool:
@@ -173,10 +171,8 @@ def _names(raw: dict, key: str, what: str) -> Optional[list[str]]:
     """``raw[key]``, None or a non-empty list of strings; any other value
     raises ``ConfigError`` naming the key."""
     value = raw.get(key)
-    if value is not None and not _is_names(value):
-        raise ConfigError(f"{key}: expected a list of names, got {value!r}")
-    if value == []:
-        raise ConfigError(f"{key}: expected at least one {what}, got []")
+    expect(value is None or _is_names(value), key, "a list of names", value)
+    expect(value != [], key, f"at least one {what}", value)
     return value
 
 
@@ -191,19 +187,18 @@ def _list(raw: dict, key: str, what: str = "") -> list:
     """``raw[key]``, a list (empty when absent or null); any other value
     raises ``ConfigError`` naming ``what`` (when given) and the key."""
     value = _given(raw, key, [])
-    if not isinstance(value, list):
-        where = f"{what}: {key}" if what else key
-        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    expect(isinstance(value, list), f"{what}: {key}" if what else key,
+           "a list", value)
     return value
 
 
-def _integer(value, what: str, minimum: Optional[int] = None) -> int:
+def integer(value, what: str, minimum: Optional[int] = None) -> int:
     """``value`` when it is an integer (a bool is none) of at least
     ``minimum``, else a ``ConfigError`` naming ``what``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what}: expected int, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{what}: expected int >= {minimum}, got {value}")
+    expect(isinstance(value, int) and not isinstance(value, bool),
+           what, "int", value)
+    expect(minimum is None or value >= minimum, what, f"int >= {minimum}",
+           value)
     return value
 
 
@@ -211,8 +206,7 @@ def _mapping(value, what: str, keys: Optional[Sequence[str]] = None) -> dict:
     """A copy of ``value`` when it is a YAML mapping whose keys are all in
     ``keys`` (any keys when None), else a ``ConfigError`` naming ``what``:
     a list of pairs is no mapping."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what}: expected dict, got {value!r}")
+    expect(isinstance(value, dict), what, "dict", value)
     unknown = set(value) - set(value if keys is None else keys)
     if unknown:
         raise ConfigError(f"{what}: unknown fields {sorted(map(str, unknown))}")
@@ -275,27 +269,17 @@ def _backend_config(entry: dict, dataset: Dataset, offline: bool
                     ) -> tuple[BackendConfig, Optional[Callable]]:
     """A backend entry's config, and a mock's reply function (None for
     other kinds)."""
-    entry = dict(entry)
-    strategy = entry.pop("strategy", None)
-    what = f"backend {entry.get('name')!r}"
-    if strategy is not None and not (isinstance(strategy, str) and strategy):
-        raise ConfigError(f"{what}: strategy: expected a non-empty string, "
-                          f"got {strategy!r}")
-    if strategy == "fixed:":
-        raise ConfigError(f"{what}: strategy: 'fixed:' needs a label, as in "
-                          f"'fixed:Agree'")
     if offline and entry.get("kind") == "remote":
-        entry["kind"] = "replay"
-    config = _construct(BackendConfig, entry, what)
+        entry = dict(entry, kind="replay")
+    config = _construct(BackendConfig, entry, f"backend {entry.get('name')!r}")
     if config.kind == "replay":
         # a replay reads the cache by these fields alone; network settings
         # such as parallelism, retries and the rate limit do not apply
         config = BackendConfig(config.name, "replay", config.model_id,
                                temperature=config.temperature)
     if config.kind == "mock":
-        return config, _mock_reply_fn(strategy or "first_option", dataset)
-    if strategy is not None:
-        raise ConfigError(f"{what}: strategy applies only to mock backends")
+        return config, _mock_reply_fn(config.strategy or "first_option",
+                                      dataset)
     return config, None
 
 
@@ -306,23 +290,11 @@ def _construct(cls, settings: dict, what: str):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"{what}: missing fields {missing}")
-    unknown = set(settings) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"{what}: unknown fields {sorted(unknown)}")
+    _mapping(settings, what, [f.name for f in fields(cls)])
     try:
         return cls(**settings)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what}: {exc}")
-
-
-def _select_cases(dataset: Dataset, cfg: ExperimentConfig) -> list[SurveyCase]:
-    if cfg.case_ids is None:
-        return list(dataset.cases)
-    known = {c.question_id for c in dataset.cases}
-    for cid in cfg.case_ids:
-        if cid not in known:
-            raise ConfigError(f"config names unknown question id {cid!r}")
-    return [c for c in dataset.cases if c.question_id in cfg.case_ids]
 
 
 # each respondent's few-shot examples, as (profile, answer) pairs
@@ -364,22 +336,31 @@ def render_case_prompts(
 @dataclass
 class Plan:
     """A config checked against its dataset: what the run fits, renders
-    and scores."""
+    and scores, where the schema or ``--offline`` decides it."""
 
     dataset: Dataset
     cases: list[SurveyCase]
-    variants: list[PromptVariant]
     masks: list[AblationMask]
     backends: list[tuple[BackendConfig, Optional[Callable]]]
-    forest: forest_mod.ForestParams
     regressions: list[ModelSpec]
 
 
 def _plan(cfg: ExperimentConfig, offline: bool) -> Plan:
     """Every config-versus-schema check; a mistake raises ``ConfigError``
     naming it."""
+    # the bundle is written last, so a file in its way would waste the audit
+    taken = next(p for p in (cfg.out_dir, *cfg.out_dir.parents) if p.exists())
+    if not taken.is_dir():
+        raise ConfigError(f"output: {taken} is a file, not a directory")
     dataset = load_dataset(cfg.csv_path, cfg.schema_path)
-    cases = _select_cases(dataset, cfg)
+    known = [c.question_id for c in dataset.cases]
+    if not known:
+        raise ConfigError(f"schema {cfg.schema_path} declares no questions, "
+                          f"so there is nothing to audit")
+    for cid in cfg.case_ids or ():
+        if cid not in known:
+            raise ConfigError(f"config names unknown question id {cid!r}")
+    cases = [c for c in dataset.cases if c.question_id in (cfg.case_ids or known)]
     names = dataset.schema.names
     political = frozenset(cfg.political or DEFAULT_POLITICAL)
     unknown_political = sorted(political - set(names))
@@ -399,8 +380,7 @@ def _plan(cfg: ExperimentConfig, offline: bool) -> Plan:
         masks = ablation_plan(dataset.schema, political)
     else:
         masks = [_parse_mask(m, political, names) for m in cfg.masks]
-    variants = [_VARIANTS[v] for v in cfg.variants]
-    fewshot = any(v.uses_fewshot for v in variants)
+    fewshot = any(v.uses_fewshot for v in cfg.variants)
     if fewshot and cfg.fewshot_k < 1:
         raise ConfigError(f"fewshot.k must be >= 1 for a few-shot "
                           f"variant, got {cfg.fewshot_k}")
@@ -416,7 +396,7 @@ def _plan(cfg: ExperimentConfig, offline: bool) -> Plan:
                 f"fewshot.k is {cfg.fewshot_k}, but case {case.question_id!r} "
                 f"has only {answered - 1} eligible examples per respondent "
                 f"({answered} answered respondents)")
-    if PromptVariant.WITH_CONTEXT in variants:
+    if PromptVariant.WITH_CONTEXT in cfg.variants:
         bare = [c.question_id for c in cases if not c.context_blurb]
         if bare:
             raise ConfigError(
@@ -425,16 +405,15 @@ def _plan(cfg: ExperimentConfig, offline: bool) -> Plan:
     backends = [_backend_config(e, dataset, offline) for e in cfg.backends]
     # a cell is keyed by (backend, case, variant, mask) and a regression fit
     # by (name, backend), so each must be unique
-    for kind, labels in (("backend names", [c.name for c, _ in backends]),
-                         ("variants", cfg.variants),
+    for kind, labels in (("cases", cfg.case_ids or []),
+                         ("backend names", [c.name for c, _ in backends]),
+                         ("variants", [v.value for v in cfg.variants]),
                          ("masks", [m.label for m in masks]),
                          ("regression names", [s.name for s in specs])):
         repeated = sorted({x for x in labels if labels.count(x) > 1})
         if repeated:
             raise ConfigError(f"duplicate {kind}: {repeated}")
-    return Plan(dataset, cases, variants, masks, backends,
-                _construct(forest_mod.ForestParams, cfg.forest_params, "forest"),
-                specs)
+    return Plan(dataset, cases, masks, backends, specs)
 
 
 def _execute(plan: Plan, cfg: ExperimentConfig
@@ -447,10 +426,10 @@ def _execute(plan: Plan, cfg: ExperimentConfig
                     for config, fn in plan.backends]
         baseline = {
             case.question_id: forest_mod.baseline_metrics(
-                dataset, case, plan.forest, seed=cfg.forest_seed)[0]
+                dataset, case, cfg.forest, seed=cfg.forest_seed)[0]
             for case in plan.cases
         }
-        fewshot = any(v.uses_fewshot for v in plan.variants)
+        fewshot = any(v.uses_fewshot for v in cfg.variants)
         examples = {
             case.question_id: draw_fewshot(dataset, case, cfg.fewshot_k, cfg.seed)
             if fewshot else None
@@ -461,7 +440,7 @@ def _execute(plan: Plan, cfg: ExperimentConfig
                       examples[case.question_id], baseline[case.question_id])
             for backend in backends
             for case in plan.cases
-            for variant in plan.variants
+            for variant in cfg.variants
             for mask in plan.masks
         ]
     finally:
@@ -474,7 +453,7 @@ def _score(plan: Plan, cfg: ExperimentConfig, cells: Sequence[CellResult]
     """The primary cells, their accuracy-equality verdicts over single
     attributes and the configured intersections, and the regressions."""
     dataset = plan.dataset
-    primary = primary_cells(cells, plan.variants[0].value)
+    primary = primary_cells(cells, cfg.variants[0].value)
     equality: dict = {}
     for cell in primary:
         case = dataset.case(cell.case_id)
@@ -489,9 +468,7 @@ def _score(plan: Plan, cfg: ExperimentConfig, cells: Sequence[CellResult]
                 acc_map, cfg.equality_tolerance, group_sizes=sizes)
             for label, acc_map, sizes in groups
         }
-    regressions = fit_regressions(dataset, plan.regressions, primary,
-                                  cfg.unparseable_policy)
-    return primary, equality, regressions
+    return primary, equality, fit_regressions(plan, cfg, primary)
 
 
 def run_experiment(cfg: ExperimentConfig, offline: bool = False) -> ReportBundle:
@@ -505,7 +482,7 @@ def run_experiment(cfg: ExperimentConfig, offline: bool = False) -> ReportBundle
         "forest_seed": cfg.forest_seed,
         "cases": [c.question_id for c in plan.cases],
         "backends": [config.name for config, _ in plan.backends],
-        "variants": [v.value for v in plan.variants],
+        "variants": [v.value for v in cfg.variants],
         "masks": [m.label for m in plan.masks],
         "fewshot_k": cfg.fewshot_k,
         "unparseable_policy": cfg.unparseable_policy,
@@ -515,6 +492,25 @@ def run_experiment(cfg: ExperimentConfig, offline: bool = False) -> ReportBundle
                           manifest, cfg.out_dir)
     write_bundle(bundle, plan.dataset.schema)
     return bundle
+
+
+def refit_regressions(cfg: ExperimentConfig, predictions_path: str | Path
+                      ) -> dict[str, dict]:
+    """Fit and write the configured regressions on the primary cells of an
+    earlier run's prediction log; the config is planned as an offline run
+    plans it, so a mistake or a backend failure a run refuses is refused."""
+    plan = _plan(cfg, offline=True)
+    variant = cfg.variants[0].value
+    primary = primary_cells(read_cells(predictions_path), variant)
+    if not primary:
+        raise ConfigError(f"{predictions_path} has no predictions of "
+                          f"variant {variant!r}")
+    for c in primary:
+        refuse_failures(c.backend, c.case_id, c.variant, c.mask_label,
+                        c.predictions)
+    regressions = fit_regressions(plan, cfg, primary)
+    write_regressions(cfg.out_dir, regressions)
+    return regressions
 
 
 def _run_cell(dataset: Dataset, cfg: ExperimentConfig, backend,
@@ -580,12 +576,11 @@ def regression_specs(dataset: Dataset,
         mains = entry.get("main_effects", "all")
         if mains in ("all", ["all"]):
             mains = names
-        elif not _is_names(mains):
-            raise ConfigError(f"{what}: main_effects: expected 'all' or a "
-                              f"list of names, got {mains!r}")
-        elif not mains:
-            raise ConfigError(f"{what}: main_effects: expected at least one "
-                              f"attribute, got []")
+        else:
+            expect(_is_names(mains), f"{what}: main_effects",
+                   "'all' or a list of names", mains)
+            expect(mains != [], f"{what}: main_effects",
+                   "at least one attribute", mains)
         for attr in mains:
             if attr not in names:
                 raise ConfigError(f"{what} names unknown attribute {attr!r}")
@@ -601,11 +596,10 @@ def regression_specs(dataset: Dataset,
     return specs
 
 
-def fit_regressions(dataset: Dataset, specs: Sequence[ModelSpec],
-                    primary: Sequence[CellResult],
-                    policy: str) -> dict[str, dict]:
-    """Fit every spec once per backend, on that backend's pooled primary
-    predictions; keys are ``<name>__<backend>``.  A model the predictions
+def fit_regressions(plan: Plan, cfg: ExperimentConfig,
+                    primary: Sequence[CellResult]) -> dict[str, dict]:
+    """Fit every planned regression once per backend, on that backend's
+    pooled primary predictions; keys are ``<name>__<backend>``.  A model the predictions
     cannot identify keeps its error in place of the design and the fit, and
     the others still fit."""
     cells: dict[str, list[Sequence[Prediction]]] = {}
@@ -613,11 +607,12 @@ def fit_regressions(dataset: Dataset, specs: Sequence[ModelSpec],
         cells.setdefault(c.backend, []).append(c.predictions)
     pooled = {bname: Predictions.join(parts) for bname, parts in cells.items()}
     regressions: dict[str, dict] = {}
-    for spec in specs:
+    for spec in plan.regressions:
         for bname, predictions in pooled.items():
             key = f"{spec.name}__{bname}"
             try:
-                design = build_design(dataset, predictions, spec, policy=policy)
+                design = build_design(plan.dataset, predictions, spec,
+                                      policy=cfg.unparseable_policy)
                 regressions[key] = {"design": design, "fit": fit_logit(design)}
             except Unfittable as exc:
                 regressions[key] = {"error": exc}

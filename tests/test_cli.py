@@ -512,6 +512,7 @@ def test_interaction_outside_main_effects_fails_before_any_work(
     ("backends:\n  - {name: m, kind: mock, strategy: 'fixed:'}\n",
      "Error: backend 'm': strategy: 'fixed:' needs a label, as in "
      "'fixed:Agree'"),
+    ("cases: [vote, vote]\n", "Error: duplicate cases: ['vote']"),
 ], ids=["forest_key", "n_trees", "min_samples_leaf", "max_depth",
         "features_per_split", "backend_name", "backend_kind", "fewshot_k_0",
         "fewshot_k_negative", "variant", "mask", "fewshot_k_above_eligible",
@@ -547,7 +548,7 @@ def test_interaction_outside_main_effects_fails_before_any_work(
         "equality_pairs_mapping", "political_unknown",
         "default_political_without", "default_political_only",
         "default_political_ablation", "backend_name_slash", "backend_name_nul",
-        "regression_name_slash", "fixed_without_label"])
+        "regression_name_slash", "fixed_without_label", "duplicate_cases"])
 def test_config_mistake_fails_before_any_work(tmp_path, monkeypatch, extra,
                                               message):
     # a key repeated in ``extra`` overrides write_config's, as YAML loads it
@@ -689,6 +690,110 @@ def test_regress_names_a_missing_dataset_file(tmp_path):
     assert isinstance(result.exception, SystemExit)  # a ClickException
     assert (f"Error: CSV file {tmp_path / 'nosuch.csv'}: No such file or "
             "directory") in result.output
+
+
+@pytest.mark.parametrize("extra, message", [
+    ('masks: ["without:nosuch"]\n',
+     "Error: mask 'without:nosuch' names unknown attribute 'nosuch'"),
+    ("variants: [with_context]\n",
+     "Error: variant with_context needs a context blurb"),
+    ("backends:\n  - {name: m, kind: mock, strategy: 'fixed:'}\n",
+     "Error: backend 'm': strategy: 'fixed:' needs a label"),
+    ("cases: [vote, vote]\n", "Error: duplicate cases: ['vote']"),
+], ids=["unknown_mask_attribute", "with_context_without_blurb",
+        "fixed_without_label", "duplicate_cases"])
+def test_regress_refuses_what_run_refuses(tmp_path, extra, message):
+    write_population(tmp_path)
+    cfg = write_config(tmp_path, extra=extra)
+    log = tmp_path / "predictions.jsonl"
+    log.write_text("")
+    results = [CliRunner().invoke(main, command) for command in (
+        ["run", "--config", str(cfg), "--offline"],
+        ["regress", "--config", str(cfg), "--predictions", str(log)])]
+    for result in results:
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a ClickException
+        assert message in result.output
+    assert not (tmp_path / "out").exists()
+
+
+SHARED_SCHEMA = """\
+id_column: respondent_id
+attributes:
+  - {name: gender, categories: [Man, Woman], reference: Man}
+  - {name: side, categories: [Left, Right], reference: Left}
+questions:
+  - {id: vote, options: [Left, Right]}
+"""
+
+
+@pytest.mark.parametrize("old, new, shared", [
+    ("name: side", "name: vote", "vote"),
+    ("id_column: respondent_id", "id_column: gender", "gender"),
+    ("{id: vote,", "{id: respondent_id,", "respondent_id"),
+], ids=["attribute_and_question", "id_and_attribute", "id_and_question"])
+def test_schema_column_named_twice_fails_before_any_work(
+        tmp_path, monkeypatch, old, new, shared):
+    # a question that shares an attribute's column would show each target
+    # its own answer in the profile
+    schema = tmp_path / "shared.yaml"
+    schema.write_text(SHARED_SCHEMA.replace(old, new))
+    rows = "".join(f"r{i},{('Man', 'Woman')[i % 2]},{side},{side}\n"
+                   for i, side in enumerate(["Left", "Right", "Right"] * 10))
+    (tmp_path / "shared.csv").write_text("respondent_id,gender,side,vote\n" + rows)
+    output = _fails_before_any_work(
+        tmp_path, monkeypatch,
+        "dataset: {csv: shared.csv, schema: shared.yaml}\n")
+    assert (f"Error: schema {schema}: the id column, the attributes and the "
+            f"questions each need a CSV column of their own, but "
+            f"[{shared!r}] names more than one") in output
+
+
+def test_schema_without_questions_fails_before_any_work(tmp_path, monkeypatch):
+    write_population(tmp_path)
+    schema = tmp_path / "schema.yaml"
+    text = schema.read_text()
+    (tmp_path / "bare.yaml").write_text(text[:text.index("questions:")])
+    output = _fails_before_any_work(
+        tmp_path, monkeypatch, "dataset: {csv: data.csv, schema: bare.yaml}\n")
+    assert (f"Error: schema {tmp_path / 'bare.yaml'} declares no questions, "
+            "so there is nothing to audit") in output
+
+
+@pytest.mark.parametrize("command, extra, out", [
+    (["run", "--offline"], "output: data.csv\n", None),
+    (["run", "--offline"], "output: data.csv/bundle\n", None),
+    (["run", "--offline"], "", "data.csv"),
+    (["regress", "--predictions", "data.csv"], "", "data.csv"),
+], ids=["run_output", "run_output_below_a_file", "run_out_option",
+        "regress_out_option"])
+def test_output_path_that_is_a_file_fails_before_any_work(
+        tmp_path, monkeypatch, command, extra, out):
+    write_population(tmp_path)
+    cfg = write_config(tmp_path, extra=extra)
+    data = tmp_path / "data.csv"
+    before = data.read_bytes()
+
+    def no_forest(*args, **kwargs):
+        raise AssertionError("the forest ran before the output was checked")
+
+    monkeypatch.setattr(runner_mod.forest_mod, "baseline_metrics", no_forest)
+    monkeypatch.chdir(tmp_path)
+    command = [a if a != "data.csv" else str(data) for a in command]
+    result = CliRunner().invoke(main, [
+        command[0], "--config", str(cfg), *command[1:],
+        *(["--out", out] if out else [])])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException
+    named = data if out is None else Path(out)
+    assert f"Error: output: {named} is a file, not a directory" in result.output
+    assert data.read_bytes() == before
+
+
+def test_unopenable_cache_fails_before_any_work(tmp_path, monkeypatch):
+    (tmp_path / "cdir").mkdir()
+    output = _fails_before_any_work(tmp_path, monkeypatch, "cache: cdir\n")
+    assert f"Error: cache file {tmp_path / 'cdir'}: Is a directory" in output
 
 
 RECORD = json.dumps({"key": "k", "raw_text": "OptA"})

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from surveyaudit.data import (Dataset, SocioProfile, distinct_rows,
-                              load_dataset, save_dataset)
+from surveyaudit.data import (Attribute, AttributeSchema, Dataset,
+                              SocioProfile, distinct_rows, load_dataset,
+                              save_dataset)
 from surveyaudit.errors import (
     ConfigError,
     DuplicateRespondent,
@@ -179,3 +180,20 @@ def test_distinct_rows_numbers_equal_rows_alike():
     assert [tuple(r[::-1]) for r in rows] == sorted(tuple(r[::-1]) for r in rows)
     ids, rows = distinct_rows(np.empty((0, 2), dtype=np.intp))
     assert ids.shape == (0,) and rows.shape == (0, 2)
+
+
+@pytest.mark.parametrize("id_column, attributes, questions, shared", [
+    ("rid", ("vote", "age"), ("vote",), ["vote"]),
+    ("age", ("vote", "age"), ("q1",), ["age"]),
+    ("q1", ("gender",), ("q1", "q2"), ["q1"]),
+    ("rid", ("age", "age"), ("q1",), ["age"]),
+    ("rid", ("age",), ("q1", "q1"), ["q1"]),
+], ids=["attribute_and_question", "id_and_attribute", "id_and_question",
+        "two_attributes", "two_questions"])
+def test_schema_refuses_a_column_named_twice(id_column, attributes, questions,
+                                             shared):
+    with pytest.raises(ValueError) as info:
+        AttributeSchema(
+            attributes=tuple(Attribute(a, ("x", "y"), "x") for a in attributes),
+            id_column=id_column, answer_columns=questions)
+    assert str(info.value).endswith(f"but {shared} names more than one")

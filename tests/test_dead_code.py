@@ -44,3 +44,18 @@ def test_every_definition_is_referenced():
         and node.name not in COMMANDS
     )
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A ``_``-prefixed name is its module's own: a module of the package
+    that imports one from another leans on what that module may change."""
+    private = sorted(
+        f"{path.relative_to(ROOT)}:{node.lineno} {alias.name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("surveyaudit"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+    assert not private, f"private names imported across modules: {private}"

@@ -619,3 +619,25 @@ def test_no_rate_limit_never_sleeps(monkeypatch):
     for _ in range(3):
         assert backend.complete(prompt) == "Left"
     assert clock.sleeps == [] and sent == [1000.0] * 3
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"kind": "mock", "strategy": 5},
+     "strategy: expected a non-empty string, got 5"),
+    ({"kind": "mock", "strategy": ""},
+     "strategy: expected a non-empty string, got ''"),
+    ({"kind": "mock", "strategy": "fixed:"},
+     "strategy: 'fixed:' needs a label, as in 'fixed:Agree'"),
+    ({"kind": "replay", "strategy": "majority"},
+     "strategy applies only to mock backends"),
+], ids=["int", "empty", "fixed_without_label", "replay"])
+def test_backend_config_checks_its_strategy(settings, message):
+    with pytest.raises(ValueError) as info:
+        BackendConfig(name="b", **settings)
+    assert str(info.value) == message
+
+
+def test_backend_config_holds_a_mock_strategy():
+    assert BackendConfig(name="m", kind="mock").strategy is None
+    assert BackendConfig(name="m", kind="mock",
+                         strategy="fixed:Agree").strategy == "fixed:Agree"
